@@ -12,11 +12,12 @@
 /// BENCH_scaling.json; the checked-in copy is the perf trajectory anchor).
 ///
 /// `bench_runtime_micro --messages [reps] [--smoke] [--json <path>]` runs
-/// the message-format sweep instead: PageRank and SSSP under boxed and
-/// packed mailboxes, asserting identical message/byte totals and reporting
-/// the wall-clock and bytes-per-mailbox-record deltas (default path
-/// BENCH_messages.json). --smoke shrinks the graph so the sweep doubles as
-/// a tier-1 smoke test of the bench pipeline.
+/// the message sweep instead: hand-written PageRank and SSSP on packed
+/// mailboxes at 1 and 8 workers (wall clock, record bytes, message and byte
+/// totals), then the compiled-IR leg that gates the dataflow passes'
+/// record sizes and wire totals (default path BENCH_messages.json). --smoke
+/// shrinks the graph so the sweep doubles as a tier-1 smoke test of the
+/// bench pipeline.
 ///
 /// `bench_runtime_micro --partitioning [reps] [--smoke] [--json <path>]`
 /// runs the partitioning sweep: PageRank and SSSP across all four partition
@@ -130,6 +131,7 @@ public:
       Master.haltAll();
   }
   void compute(pregel::VertexContext &) override {}
+  pregel::MessageLayout messageLayout() const override { return {}; }
 };
 
 void BM_EngineSuperstepOverhead(benchmark::State &State) {
@@ -280,7 +282,7 @@ int runScalingSweep(int Reps, const std::string &JsonPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Message-format sweep (--messages)
+// Message sweep (--messages)
 //===----------------------------------------------------------------------===//
 
 int runMessageSweep(int Reps, const std::string &JsonPath, bool Smoke) {
@@ -300,102 +302,59 @@ int runMessageSweep(int Reps, const std::string &JsonPath, bool Smoke) {
   const unsigned WorkerCounts[] = {1, 8};
   const unsigned HostCores = std::thread::hardware_concurrency();
 
-  std::printf("Message-format sweep: rmat(%u,%llu), %d reps, host cores: %u\n",
+  std::printf("Message sweep: rmat(%u,%llu), %d reps, host cores: %u\n",
               G.numNodes(), static_cast<unsigned long long>(G.numEdges()),
               Reps, HostCores);
   hr('=');
-  std::printf("%-10s %-8s %8s %10s | %12s %11s | %12s %10s\n", "algorithm",
-              "format", "workers", "rec-bytes", "median(s)", "vs boxed",
-              "messages", "net-bytes");
+  std::printf("%-10s %8s %10s | %12s | %12s %10s\n", "algorithm", "workers",
+              "rec-bytes", "median(s)", "messages", "net-bytes");
   hr();
 
   int Failures = 0;
   for (const char *Algo : {"pagerank", "sssp"}) {
     for (unsigned W : WorkerCounts) {
-      double BoxedMedian = 0.0;
-      uint64_t BoxedMessages = 0, BoxedNetBytes = 0;
-      unsigned BoxedRecBytes = 0, PackedRecBytes = 0;
-      for (pregel::MessageFormat Fmt :
-           {pregel::MessageFormat::Boxed, pregel::MessageFormat::Packed}) {
-        bool Packed = Fmt == pregel::MessageFormat::Packed;
-        std::vector<double> Times;
-        pregel::RunStats Last;
-        unsigned RecBytes = 0;
-        for (int R = 0; R < Reps; ++R) {
-          pregel::Config Cfg;
-          Cfg.NumWorkers = W;
-          Cfg.Threaded = W > 1;
-          Cfg.Format = Fmt;
-          Cfg.CollectMetrics = false;
-          pregel::RunStats Stats;
-          pregel::MessageLayout Layout;
-          if (std::strcmp(Algo, "pagerank") == 0) {
-            manual::PageRankProgram P(0.85, 0.0, 5);
-            Layout = P.messageLayout();
-            Stats = pregel::Engine(G, Cfg).run(P);
-          } else {
-            manual::SSSPProgram P(0, Len);
-            Layout = P.messageLayout();
-            Stats = pregel::Engine(G, Cfg).run(P);
-          }
-          RecBytes = Packed && !Layout.empty()
-                         ? Layout.recordSize()
-                         : static_cast<unsigned>(sizeof(pregel::Message));
-          Times.push_back(Stats.WallSeconds);
-          Last = Stats;
-
-          pregel::RunMetadata Meta;
-          Meta.Program = Algo;
-          Meta.Graph = "rmat(" + std::to_string(Nodes) + "," +
-                       std::to_string(Edges) + ")";
-          Meta.NumNodes = G.numNodes();
-          Meta.NumEdges = G.numEdges();
-          Meta.Workers = W;
-          Meta.Threaded = Cfg.Threaded;
-          Meta.Seed = Seed;
-          Meta.HostCores = HostCores;
-          Meta.MessageFormat = Packed ? "packed" : "boxed";
-          Meta.MailboxRecordBytes = RecBytes;
-          Sink.report(Meta, Stats);
-        }
-        std::sort(Times.begin(), Times.end());
-        double Median = Times[Times.size() / 2];
-        if (!Packed) {
-          BoxedMedian = Median;
-          BoxedMessages = Last.TotalMessages;
-          BoxedNetBytes = Last.NetworkBytes;
-          BoxedRecBytes = RecBytes;
+      std::vector<double> Times;
+      pregel::RunStats Last;
+      unsigned RecBytes = 0;
+      for (int R = 0; R < Reps; ++R) {
+        pregel::Config Cfg;
+        Cfg.NumWorkers = W;
+        Cfg.Threaded = W > 1;
+        Cfg.CollectMetrics = false;
+        pregel::RunStats Stats;
+        if (std::strcmp(Algo, "pagerank") == 0) {
+          manual::PageRankProgram P(0.85, 0.0, 5);
+          RecBytes = P.messageLayout().recordSize();
+          Stats = pregel::Engine(G, Cfg).run(P);
         } else {
-          PackedRecBytes = RecBytes;
-          // The wire format must be invisible to the accounting: same
-          // messages, same network bytes, only the mailbox representation
-          // (and thus time) may differ.
-          if (Last.TotalMessages != BoxedMessages ||
-              Last.NetworkBytes != BoxedNetBytes) {
-            std::fprintf(stderr,
-                         "FAIL: %s workers=%u: packed totals diverge from "
-                         "boxed (messages %llu vs %llu, bytes %llu vs %llu)\n",
-                         Algo, W,
-                         static_cast<unsigned long long>(Last.TotalMessages),
-                         static_cast<unsigned long long>(BoxedMessages),
-                         static_cast<unsigned long long>(Last.NetworkBytes),
-                         static_cast<unsigned long long>(BoxedNetBytes));
-            ++Failures;
-          }
+          manual::SSSPProgram P(0, Len);
+          RecBytes = P.messageLayout().recordSize();
+          Stats = pregel::Engine(G, Cfg).run(P);
         }
-        std::printf("%-10s %-8s %8u %10u | %12.4f %10.2fx | %12llu %10llu\n",
-                    Algo, Packed ? "packed" : "boxed", W, RecBytes, Median,
-                    BoxedMedian > 0 ? BoxedMedian / Median : 1.0,
-                    static_cast<unsigned long long>(Last.TotalMessages),
-                    static_cast<unsigned long long>(Last.NetworkBytes));
+        Times.push_back(Stats.WallSeconds);
+        Last = Stats;
+
+        pregel::RunMetadata Meta;
+        Meta.Program = Algo;
+        Meta.Graph = "rmat(" + std::to_string(Nodes) + "," +
+                     std::to_string(Edges) + ")";
+        Meta.NumNodes = G.numNodes();
+        Meta.NumEdges = G.numEdges();
+        Meta.Workers = W;
+        Meta.Threaded = Cfg.Threaded;
+        Meta.Seed = Seed;
+        Meta.HostCores = HostCores;
+        Meta.MessageFormat = "packed";
+        Meta.MailboxRecordBytes = RecBytes;
+        Sink.report(Meta, Stats);
       }
-      if (PackedRecBytes)
-        std::printf("%-10s mailbox record: boxed %u B -> packed %u B "
-                    "(%.1fx smaller)\n",
-                    Algo, BoxedRecBytes, PackedRecBytes,
-                    double(BoxedRecBytes) / PackedRecBytes);
-      hr();
+      std::sort(Times.begin(), Times.end());
+      std::printf("%-10s %8u %10u | %12.4f | %12llu %10llu\n", Algo, W,
+                  RecBytes, Times[Times.size() / 2],
+                  static_cast<unsigned long long>(Last.TotalMessages),
+                  static_cast<unsigned long long>(Last.NetworkBytes));
     }
+    hr();
   }
 
   // Compiled-IR leg: the wire schema of every bundled algorithm with the
@@ -413,9 +372,7 @@ int runMessageSweep(int Reps, const std::string &JsonPath, bool Smoke) {
       "comp_label",  "avg_teen",           "conductance",
       "degree_stats", "bipartite_matching", "bc_approx"};
   auto PackedRecordBytes = [](const pir::PregelProgram &P) -> unsigned {
-    pregel::MessageLayout Layout = pir::deriveMessageLayout(P);
-    return Layout.empty() ? static_cast<unsigned>(sizeof(pregel::Message))
-                          : Layout.recordSize();
+    return pir::deriveMessageLayout(P).recordSize();
   };
   CompileOptions NoDF;
   NoDF.DataflowOpts = false;

@@ -637,29 +637,11 @@ private:
 
   void classifyShapes(int N) {
     Info.Shapes.assign(N, StateShape::MasterOnly);
-    bool AnyVertex = false, AllFlood = true, AllReceiver = true;
-    for (int S = 0; S < N; ++S) {
-      if (P.States[S].VertexCode.empty())
-        continue;
-      Info.Shapes[S] = anyUnguardedEffect(P.States[S].VertexCode)
-                           ? StateShape::Flood
-                           : StateShape::ReceiverOnly;
-      if (!Info.Reachable[S])
-        continue; // unreachable states do not shape the schedule
-      AnyVertex = true;
-      if (Info.Shapes[S] == StateShape::Flood)
-        AllReceiver = false;
-      else
-        AllFlood = false;
-    }
-    if (!AnyVertex)
-      Info.Hint = ScheduleClass::None;
-    else if (AllFlood)
-      Info.Hint = ScheduleClass::Dense;
-    else if (AllReceiver)
-      Info.Hint = ScheduleClass::Sparse;
-    else
-      Info.Hint = ScheduleClass::None;
+    for (int S = 0; S < N; ++S)
+      if (!P.States[S].VertexCode.empty())
+        Info.Shapes[S] = anyUnguardedEffect(P.States[S].VertexCode)
+                             ? StateShape::Flood
+                             : StateShape::ReceiverOnly;
   }
 
   const PregelProgram &P;
@@ -785,6 +767,5 @@ std::string pir::renderDataFlow(const PregelProgram &P,
     }
   }
 
-  OS << "schedule hint: " << scheduleClassName(I.Hint) << "\n";
   return OS.str();
 }

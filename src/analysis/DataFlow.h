@@ -12,9 +12,7 @@
 ///  (c) reaching definitions + sparse conditional constant propagation over
 ///      slots, globals and message fields (ConstFoldDataflow fuel),
 ///  (d) halt reachability + frontier-shape classification — does a state
-///      only activate message receivers? A program whose vertex states all
-///      flood (or all strictly follow messages) yields a ScheduleHint the
-///      runtime consumes under `--schedule auto`.
+///      only activate message receivers? (`gmpc --analyze` reports it.)
 ///
 /// The CFG is the state graph (states as nodes, MGoto transitions as
 /// edges); message channels add def-use edges from each send site to the
@@ -213,7 +211,6 @@ struct DataFlowInfo {
 
   // (d) frontier shape.
   std::vector<StateShape> Shapes;
-  ScheduleClass Hint = ScheduleClass::None;
 
   /// Dead-slot / dead-field convenience queries used by the passes, the
   /// lints and the counters.

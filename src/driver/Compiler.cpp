@@ -153,30 +153,22 @@ CompileResult gm::compileGreenMarl(const std::string &Source,
   if (Stats)
     Stats->setCounter("ir.states.post-opt", R.Program->States.size());
 
-  // Final analysis sweep: attach the static schedule hint to the program
-  // (consumed by the runtime under --schedule auto) and surface the
-  // analysis verdicts as counters.
-  {
+  // Final analysis sweep: surface the analysis verdicts as counters.
+  if (Stats) {
     Timer T(Stats, "dataflow-analysis");
     pir::DataFlowInfo Info = pir::analyzeDataFlow(*R.Program);
-    R.Program->ScheduleHint = Info.Hint;
-    if (Stats) {
-      Stats->setCounter("analysis.dead-slots",
-                        Info.countDeadSlots(*R.Program));
-      Stats->setCounter("analysis.dead-msg-fields", Info.countDeadMsgFields());
-      size_t ConstGlobals = 0, ConstSlots = 0, ReachableStates = 0;
-      for (const pir::ConstVal &C : Info.GlobalVal)
-        ConstGlobals += C.isConst();
-      for (const pir::ConstVal &C : Info.SlotVal)
-        ConstSlots += C.isConst();
-      for (bool B : Info.Reachable)
-        ReachableStates += B;
-      Stats->setCounter("analysis.const-globals", ConstGlobals);
-      Stats->setCounter("analysis.const-slots", ConstSlots);
-      Stats->setCounter("analysis.reachable-states", ReachableStates);
-      Stats->setCounter("analysis.schedule-hint",
-                        static_cast<uint64_t>(Info.Hint));
-    }
+    Stats->setCounter("analysis.dead-slots", Info.countDeadSlots(*R.Program));
+    Stats->setCounter("analysis.dead-msg-fields", Info.countDeadMsgFields());
+    size_t ConstGlobals = 0, ConstSlots = 0, ReachableStates = 0;
+    for (const pir::ConstVal &C : Info.GlobalVal)
+      ConstGlobals += C.isConst();
+    for (const pir::ConstVal &C : Info.SlotVal)
+      ConstSlots += C.isConst();
+    for (bool B : Info.Reachable)
+      ReachableStates += B;
+    Stats->setCounter("analysis.const-globals", ConstGlobals);
+    Stats->setCounter("analysis.const-slots", ConstSlots);
+    Stats->setCounter("analysis.reachable-states", ReachableStates);
   }
 
   {

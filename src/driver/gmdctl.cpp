@@ -42,8 +42,8 @@ Commands (docs/serving.md has the full protocol):
 
 Job options for submit:
   --arg <name>=<value>       scalar procedure argument (repeatable)
-  --workers <n> --threaded --message-format <packed|boxed>
-  --partition <strategy> --lalp-threshold <n> --schedule <mode>
+  --workers <n> --threaded --partition <strategy>
+  --lalp-threshold <n> --schedule <mode>
   --backend <interp|native> --seed <n> --max-supersteps <n> --trace
   --no-wait                  return the job id without waiting
   --report <path>            write the job's run report JSON ("-" = stdout)
@@ -195,7 +195,7 @@ int main(int argc, char **argv) {
   bool NoWait = false;
   int64_t Nodes = 0, Edges = 0, Seed = -1, Workers = -1, Lalp = -1;
   int64_t MaxSupersteps = -1;
-  std::string GraphName, MsgFormat, Partition, Schedule, Backend;
+  std::string GraphName, Partition, Schedule, Backend;
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -236,8 +236,6 @@ int main(int argc, char **argv) {
       Workers = parseInt(Next());
     else if (A == "--threaded")
       Threaded = true;
-    else if (A == "--message-format")
-      MsgFormat = Next();
     else if (A == "--partition")
       Partition = Next();
     else if (A == "--lalp-threshold")
@@ -323,8 +321,6 @@ int main(int argc, char **argv) {
       W.field("workers", Workers);
     if (Threaded)
       W.field("threaded", true);
-    if (!MsgFormat.empty())
-      W.field("message_format", MsgFormat);
     if (!Partition.empty())
       W.field("partition", Partition);
     if (Lalp >= 0)

@@ -65,8 +65,7 @@ Static analysis (docs/analysis.md):
   --Werror             treat lint warnings as errors
   --analyze            print the dataflow-analysis report for the optimized
                        IR: state CFG with frontier shapes, slot and
-                       message-field liveness, constant verdicts, and the
-                       static schedule hint
+                       message-field liveness, and constant verdicts
 
 Execution (interprets the compiled program on the bundled BSP runtime):
   --run                          run after compiling
@@ -81,8 +80,6 @@ Execution (interprets the compiled program on the bundled BSP runtime):
   --graph-uniform <nodes> <edges>
   --workers <n>                  simulated workers (default 4)
   --threaded                     run the workers as real threads
-  --message-format <fmt>         mailbox wire format: packed (default) or
-                                 boxed (tagged-union Message records)
   --partition <strategy>         vertex partitioning: hash (default), range,
                                  edge-balanced, or degree-aware
                                  (docs/partitioning.md)
@@ -143,7 +140,6 @@ int main(int argc, char **argv) {
   bool GenRMAT = false, GenUniform = false;
   unsigned Workers = 4;
   bool Threaded = false;
-  pregel::MessageFormat MsgFormat = pregel::MessageFormat::Packed;
   pregel::PartitionStrategy Partition = pregel::PartitionStrategy::Hash;
   uint32_t LalpThreshold = 0;
   pregel::ScheduleMode Schedule = pregel::ScheduleMode::Auto;
@@ -229,18 +225,6 @@ int main(int argc, char **argv) {
       Workers = static_cast<unsigned>(parseInt(Next()));
     else if (A == "--threaded")
       Threaded = true;
-    else if (A == "--message-format") {
-      std::string Fmt = Next();
-      if (Fmt == "packed")
-        MsgFormat = pregel::MessageFormat::Packed;
-      else if (Fmt == "boxed")
-        MsgFormat = pregel::MessageFormat::Boxed;
-      else {
-        std::fprintf(stderr,
-                     "gmpc: --message-format expects packed or boxed\n");
-        return 2;
-      }
-    }
     else if (A == "--partition" || A.rfind("--partition=", 0) == 0) {
       std::string Name = A == "--partition" ? Next() : A.substr(12);
       auto S = pregel::parsePartitionStrategy(Name);
@@ -481,7 +465,6 @@ int main(int argc, char **argv) {
   pregel::Config Cfg;
   Cfg.NumWorkers = Workers;
   Cfg.Threaded = Threaded;
-  Cfg.Format = MsgFormat;
   Cfg.Partition = Partition;
   Cfg.LalpThreshold = LalpThreshold;
   Cfg.RandomSeed = Seed;
@@ -523,14 +506,8 @@ int main(int argc, char **argv) {
     Meta.Workers = Workers;
     Meta.Threaded = Cfg.Threaded;
     Meta.Seed = Seed;
-    // A program whose layout cannot be derived falls back to boxed records
-    // even under --message-format=packed; report what actually ran.
-    pregel::MessageLayout Layout;
-    if (MsgFormat == pregel::MessageFormat::Packed)
-      Layout = pir::deriveMessageLayout(*R.Program);
-    Meta.MessageFormat = Layout.empty() ? "boxed" : "packed";
-    Meta.MailboxRecordBytes =
-        Layout.empty() ? unsigned(sizeof(pregel::Message)) : Layout.recordSize();
+    Meta.MessageFormat = "packed";
+    Meta.MailboxRecordBytes = pir::deriveMessageLayout(*R.Program).recordSize();
     Meta.Partition = pregel::partitionStrategyName(Partition);
     Meta.LalpThreshold = LalpThreshold;
     Meta.Backend = exec::backendKindName(BRun.Used);

@@ -92,7 +92,6 @@ BackendRun gm::exec::runProgramWithBackend(const pir::PregelProgram &P,
     if (Run.Compiled) {
       // Same tag accounting as exec::runProgram does for the interpreter.
       Cfg.TaggedMessages = Run.Compiled->tagCount() > 1;
-      Cfg.Hint = Run.Compiled->scheduleHint();
       pregel::Engine Engine(G, Cfg);
       Run.Stats = Engine.run(*Run.Compiled);
       return Run;

@@ -153,13 +153,6 @@ public:
   /// property names, like IRExecutor::nodeProp.
   virtual Value nodeValue(const std::string &Prop, NodeId N) const = 0;
 
-  /// Static schedule advice baked in at compile time (the program's
-  /// pir::ScheduleClass, mapped to the runtime enum). Runners assign it to
-  /// Config::Hint; the engine only consults it under `--schedule auto`.
-  virtual pregel::ScheduleHint scheduleHint() const {
-    return pregel::ScheduleHint::None;
-  }
-
   /// Final value of a master global once the program reached its end state.
   Value globalValue(const std::string &Name) const;
 

@@ -550,17 +550,6 @@ pregel::RunStats exec::runProgram(const PregelProgram &Prog, const Graph &G,
   unsigned TagCount =
       static_cast<unsigned>(Prog.MsgTypes.size()) + (Prog.UsesInNbrs ? 1 : 0);
   Cfg.TaggedMessages = TagCount > 1;
-  switch (Prog.ScheduleHint) {
-  case pir::ScheduleClass::None:
-    Cfg.Hint = pregel::ScheduleHint::None;
-    break;
-  case pir::ScheduleClass::Dense:
-    Cfg.Hint = pregel::ScheduleHint::Dense;
-    break;
-  case pir::ScheduleClass::Sparse:
-    Cfg.Hint = pregel::ScheduleHint::Sparse;
-    break;
-  }
   auto Exec = std::make_unique<IRExecutor>(Prog, G, std::move(Args));
   pregel::Engine Engine(G, Cfg);
   pregel::RunStats Stats = Engine.run(*Exec);

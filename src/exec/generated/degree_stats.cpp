@@ -32,10 +32,6 @@ public:
   
   unsigned tagCount() const override { return 0; }
   
-  pregel::ScheduleHint scheduleHint() const override {
-    return pregel::ScheduleHint::Dense;
-  }
-  
   /// pir::deriveMessageLayout of the source IR, baked in.
   pregel::MessageLayout messageLayout() const override {
     pregel::MessageLayout L;

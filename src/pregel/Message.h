@@ -5,10 +5,9 @@
 /// class a GPS program would declare: an optional integer type tag (used when
 /// one program exchanges several logically distinct messages, §3.1 "Multiple
 /// Communication") and a small scalar payload. It is the *send-side* value
-/// type; inside the engine messages travel either as boxed `Message` structs
-/// (programs without a declared MessageLayout) or as packed fixed-size
-/// records (see MessageLayout.h). `MsgRef`/`MsgRange` are the format-blind
-/// cursors vertices read their inbox through.
+/// type; inside the engine messages travel as packed fixed-size records of
+/// the program's MessageLayout (see MessageLayout.h). `MsgRef`/`MsgRange`
+/// are the cursors vertices read their inbox through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,14 +22,14 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <span>
+#include <string>
 
 namespace gm::pregel {
 
-/// A message in flight from one vertex to another (boxed form).
+/// A message as a vertex program builds it before sending. The engine
+/// packs it into a fixed-size record of the program's MessageLayout at send
+/// time; the struct never enters a mailbox.
 struct Message {
-  NodeId Src = InvalidNode;
-  NodeId Dst = InvalidNode;
   int32_t Type = 0;
   uint8_t Size = 0;
   std::array<Value, MaxMessagePayload> Payload;
@@ -44,33 +43,28 @@ struct Message {
     assert(I < Size && "payload index out of range");
     return Payload[I];
   }
-
-  /// Bytes this message would occupy on the wire: a 4-byte destination-id
-  /// header (every GPS message carries one), plus a 4-byte tag when the
-  /// program uses more than one message type (\p TaggedProgram), plus the
-  /// payload. The packed path precomputes this per type
-  /// (MessageLayout::wireBytes) instead of looping per message.
-  unsigned wireSize(bool TaggedProgram) const {
-    unsigned Bytes = 4u + (TaggedProgram ? 4u : 0u);
-    for (unsigned I = 0; I < Size; ++I)
-      Bytes += Payload[I].wireSize();
-    return Bytes;
-  }
 };
 
 /// Encodes \p M bound for \p Dst into \p Rec (L.recordSize() bytes). The
 /// caller provides zeroed scratch so record padding (types narrower than the
-/// layout's widest) is deterministic. Payload kinds must match the layout —
-/// the packed and boxed paths would otherwise diverge.
-inline void packMessage(const MessageLayout &L, std::byte *Rec, NodeId Dst,
+/// layout's widest) is deterministic. Returns false, and packs nothing
+/// usable, when \p M does not match the layout: an undeclared tag, a payload
+/// arity, or a slot kind that differs from the declaration (schemaMismatch
+/// says which). The check runs in every build; a record packed against the
+/// wrong schema would be misread by every receiver.
+inline bool packMessage(const MessageLayout &L, std::byte *Rec, NodeId Dst,
                         const Message &M) {
+  if (!L.hasType(M.Type))
+    return false;
+  const MsgTypeLayout &T = L.type(M.Type);
+  if (M.Size != T.Slots.size())
+    return false;
   MessageLayout::writeDst(Rec, Dst);
   L.writeTag(Rec, M.Type);
-  const MsgTypeLayout &T = L.type(M.Type);
-  assert(M.Size == T.Slots.size() && "payload arity does not match layout");
   for (unsigned I = 0; I < M.Size; ++I) {
     const Value &V = M.Payload[I];
-    assert(V.kind() == T.Slots[I] && "payload kind does not match layout");
+    if (V.kind() != T.Slots[I])
+      return false;
     switch (T.Slots[I]) {
     case ValueKind::Bool: {
       uint8_t B = V.getBool() ? 1 : 0;
@@ -91,12 +85,11 @@ inline void packMessage(const MessageLayout &L, std::byte *Rec, NodeId Dst,
       assert(false && "unreachable: layout admits concrete kinds only");
     }
   }
+  return true;
 }
 
-/// Cross-checks one boxed message against a declared layout: the tag must
-/// be declared and the payload arity/kinds must match its slots exactly
-/// (everything packMessage asserts, as a reportable string instead of an
-/// abort). Returns "" when consistent.
+/// Why packMessage rejects \p M: the tag must be declared and the payload
+/// arity/kinds must match its slots exactly. Returns "" when consistent.
 inline std::string schemaMismatch(const MessageLayout &L, const Message &M) {
   if (!L.hasType(M.Type))
     return "message tag " + std::to_string(M.Type) +
@@ -115,64 +108,50 @@ inline std::string schemaMismatch(const MessageLayout &L, const Message &M) {
   return "";
 }
 
-/// A read-only view of one received message, independent of wire format:
-/// either a boxed `Message` (Layout == nullptr) or a packed record
-/// interpreted through its MessageLayout. Pointer-sized pair — pass by
-/// value.
+/// A read-only view of one received message: a packed record interpreted
+/// through its MessageLayout. Pointer-sized pair — pass by value.
 class MsgRef {
 public:
   MsgRef() = default;
-  explicit MsgRef(const Message *Boxed) : Ptr(Boxed) {}
-  MsgRef(const std::byte *Rec, const MessageLayout *L) : Ptr(Rec), Layout(L) {
-    assert(L && "packed MsgRef requires a layout");
+  MsgRef(const std::byte *Rec, const MessageLayout *L) : Rec(Rec), Layout(L) {
+    assert(L && "MsgRef requires a layout");
   }
 
-  bool valid() const { return Ptr != nullptr; }
+  bool valid() const { return Rec != nullptr; }
 
-  int32_t type() const {
-    return Layout ? Layout->recordTag(rec()) : boxed()->Type;
-  }
+  int32_t type() const { return Layout->recordTag(Rec); }
 
   unsigned size() const {
-    return Layout ? static_cast<unsigned>(Layout->type(type()).Slots.size())
-                  : boxed()->Size;
+    return static_cast<unsigned>(Layout->type(type()).Slots.size());
   }
 
   int64_t getInt(unsigned I) const {
-    if (!Layout)
-      return (*boxed())[I].getInt();
     const MsgTypeLayout &T = Layout->type(type());
     assert(I < T.Slots.size() && T.Slots[I] == ValueKind::Int);
     int64_t X;
-    std::memcpy(&X, rec() + T.Offset[I], 8);
+    std::memcpy(&X, Rec + T.Offset[I], 8);
     return X;
   }
 
   double getDouble(unsigned I) const {
-    if (!Layout)
-      return (*boxed())[I].getDouble();
     const MsgTypeLayout &T = Layout->type(type());
     assert(I < T.Slots.size() && T.Slots[I] == ValueKind::Double);
     double X;
-    std::memcpy(&X, rec() + T.Offset[I], 8);
+    std::memcpy(&X, Rec + T.Offset[I], 8);
     return X;
   }
 
   bool getBool(unsigned I) const {
-    if (!Layout)
-      return (*boxed())[I].getBool();
     const MsgTypeLayout &T = Layout->type(type());
     assert(I < T.Slots.size() && T.Slots[I] == ValueKind::Bool);
     uint8_t B;
-    std::memcpy(&B, rec() + T.Offset[I], 1);
+    std::memcpy(&B, Rec + T.Offset[I], 1);
     return B != 0;
   }
 
   /// Boxes slot \p I back into a Value (the IR executor's evaluation
   /// currency). The typed getters above skip the box.
   Value get(unsigned I) const {
-    if (!Layout)
-      return (*boxed())[I];
     const MsgTypeLayout &T = Layout->type(type());
     assert(I < T.Slots.size() && "payload index out of range");
     switch (T.Slots[I]) {
@@ -191,10 +170,7 @@ public:
   Value operator[](unsigned I) const { return get(I); }
 
 private:
-  const Message *boxed() const { return static_cast<const Message *>(Ptr); }
-  const std::byte *rec() const { return static_cast<const std::byte *>(Ptr); }
-
-  const void *Ptr = nullptr;
+  const std::byte *Rec = nullptr;
   const MessageLayout *Layout = nullptr;
 };
 
@@ -204,10 +180,7 @@ public:
   MsgIter(const std::byte *P, size_t Stride, const MessageLayout *L)
       : P(P), Stride(Stride), Layout(L) {}
 
-  MsgRef operator*() const {
-    return Layout ? MsgRef(P, Layout)
-                  : MsgRef(reinterpret_cast<const Message *>(P));
-  }
+  MsgRef operator*() const { return MsgRef(P, Layout); }
   MsgIter &operator++() {
     P += Stride;
     return *this;
@@ -222,13 +195,10 @@ private:
 };
 
 /// The messages delivered to one vertex this superstep — a lightweight
-/// cursor over either boxed structs or packed records, in delivery order.
+/// cursor over packed records, in delivery order.
 class MsgRange {
 public:
   MsgRange() = default;
-  explicit MsgRange(std::span<const Message> Boxed)
-      : Data(reinterpret_cast<const std::byte *>(Boxed.data())),
-        Count(Boxed.size()), Stride(sizeof(Message)) {}
   MsgRange(const std::byte *Data, size_t Count, const MessageLayout *L)
       : Data(Data), Count(Count), Stride(L->recordSize()), Layout(L) {}
 
@@ -240,15 +210,13 @@ public:
 
   MsgRef operator[](size_t I) const {
     assert(I < Count && "message index out of range");
-    const std::byte *P = Data + I * Stride;
-    return Layout ? MsgRef(P, Layout)
-                  : MsgRef(reinterpret_cast<const Message *>(P));
+    return MsgRef(Data + I * Stride, Layout);
   }
 
 private:
   const std::byte *Data = nullptr;
   size_t Count = 0;
-  size_t Stride = sizeof(Message);
+  size_t Stride = 0;
   const MessageLayout *Layout = nullptr;
 };
 

@@ -38,7 +38,7 @@ namespace gm::pregel {
 constexpr unsigned MaxMessagePayload = 4;
 
 /// Bytes one payload slot of kind \p K occupies, both in a packed record and
-/// on the simulated wire (the boxed path's Value::wireSize agrees).
+/// on the simulated wire (Value::wireSize agrees).
 inline unsigned slotWireSize(ValueKind K) {
   return K == ValueKind::Bool ? 1u : 8u;
 }
@@ -59,15 +59,14 @@ struct MsgTypeLayout {
 constexpr unsigned MaxPackedRecordBytes = 8 + 8 * MaxMessagePayload;
 
 /// The wire schema of one program's messages: a (typically tiny) table of
-/// MsgTypeLayout indexed by the message type tag. An empty layout means the
-/// program's message shapes are not statically known and the engine falls
-/// back to boxed `Message` mailboxes.
+/// MsgTypeLayout indexed by the message type tag. Every program declares
+/// one; an empty layout is the schema of a program that sends nothing.
 ///
 /// The tag is *stored* in records only when the layout has more than one
 /// type. That is a structural property of the layout, deliberately decoupled
 /// from Config::TaggedMessages, which controls wire-byte *accounting* — the
-/// two usually agree but the engine must not change a program's byte
-/// counters just because it runs packed.
+/// two usually agree but a program's byte counters must not depend on how
+/// its records are stored.
 class MessageLayout {
 public:
   bool empty() const { return NumTypes == 0; }
@@ -77,10 +76,12 @@ public:
   void addType(int32_t Tag, std::vector<ValueKind> Slots) {
     assert(Tag >= 0 && "message tags are small non-negative ints");
     assert(Slots.size() <= MaxMessagePayload && "message payload overflow");
-    for (ValueKind K : Slots)
-      assert((K == ValueKind::Bool || K == ValueKind::Int ||
-              K == ValueKind::Double) &&
-             "message slots must have a concrete scalar kind");
+    assert(std::all_of(Slots.begin(), Slots.end(),
+                       [](ValueKind K) {
+                         return K == ValueKind::Bool || K == ValueKind::Int ||
+                                K == ValueKind::Double;
+                       }) &&
+           "message slots must have a concrete scalar kind");
     if (Tag >= static_cast<int32_t>(Types.size()))
       Types.resize(Tag + 1);
     MsgTypeLayout &T = Types[Tag];
@@ -120,8 +121,7 @@ public:
   /// Simulated wire bytes of one message of \p Tag: 4-byte destination
   /// header, 4-byte tag when the program pays for tags (\p TaggedProgram —
   /// the accounting flag, not storesTag()), plus the payload. A per-type
-  /// constant — the per-message payload loop of Message::wireSize is gone
-  /// from the hot path.
+  /// constant, so wire accounting never walks a payload.
   unsigned wireBytes(int32_t Tag, bool TaggedProgram) const {
     return 4u + (TaggedProgram ? 4u : 0u) + type(Tag).PayloadWireBytes;
   }

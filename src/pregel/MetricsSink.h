@@ -40,11 +40,11 @@ struct RunMetadata {
   /// artifacts are meaningless without it: a 1-core container cannot show
   /// threaded speedup no matter how good the engine is.
   unsigned HostCores = 0;
-  /// Mailbox wire format of the run ("boxed" / "packed"; "" = not
-  /// recorded). Message-format comparison artifacts hinge on it.
+  /// Mailbox wire format of the run ("packed", the engine's only format;
+  /// "" = not recorded). The regression gate keys run records on it.
   std::string MessageFormat;
   /// Bytes one message occupies in the engine's mailboxes — the packed
-  /// record size, or sizeof(Message) on the boxed path (0 = not recorded).
+  /// record size (0 = not recorded).
   unsigned MailboxRecordBytes = 0;
   /// Partition strategy ("hash", "range", ...; "" = not recorded) and the
   /// LALP high-degree threshold (0 = LALP off).

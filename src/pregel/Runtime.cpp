@@ -29,7 +29,6 @@
 #include <cstring>
 #include <functional>
 #include <sstream>
-#include <unordered_map>
 
 using namespace gm;
 using namespace gm::pregel;
@@ -44,9 +43,8 @@ double secondsSince(Clock::time_point Start) {
 
 /// applyReduce on raw packed slots. The layout guarantees every message of a
 /// tag carries the same slot kind, so only same-kind reductions arise; each
-/// arm mirrors the boxed Value::applyReduce result for that kind pair
-/// exactly (same operation, same association), keeping packed and boxed
-/// runs bit-identical.
+/// arm mirrors Value::applyReduce for that kind pair exactly (same
+/// operation, same association).
 void applyReduceRaw(ReduceKind K, ValueKind Slot, std::byte *Acc,
                     const std::byte *In) {
   switch (Slot) {
@@ -148,18 +146,6 @@ const char *gm::pregel::scheduleModeName(ScheduleMode M) {
   return "auto";
 }
 
-const char *gm::pregel::scheduleHintName(ScheduleHint H) {
-  switch (H) {
-  case ScheduleHint::None:
-    return "none";
-  case ScheduleHint::Dense:
-    return "dense";
-  case ScheduleHint::Sparse:
-    return "sparse";
-  }
-  return "none";
-}
-
 std::optional<ScheduleMode>
 gm::pregel::parseScheduleMode(std::string_view Name) {
   if (Name == "auto")
@@ -180,105 +166,86 @@ NodeId MasterContext::pickRandomNode() {
   return Dist(Rng);
 }
 
+bool VertexContext::pack(std::byte *Rec, NodeId Dst, const Message &M) {
+  if (packMessage(*Layout, Rec, Dst, M))
+    return true;
+  if (Drift->empty())
+    *Drift = schemaMismatch(*Layout, M);
+  return false;
+}
+
 void VertexContext::sendToAllOutNeighbors(const Message &M) {
+  // Pack the payload once (zeroed scratch keeps record padding
+  // deterministic); only the 4-byte destination header differs per
+  // neighbor, or per mirror at LALP delivery.
+  std::array<std::byte, MaxPackedRecordBytes> Rec{};
+  if (!pack(Rec.data(), Id, M))
+    return;
+  const size_t RS = Layout->recordSize();
   if (Lalp && Lalp->isHighDegree(Id)) {
     // LALP: ship one broadcast record per worker owning any out-neighbor;
     // the receiver fans it out through the mirror lists (in out-edge order,
     // so delivery matches the per-edge sends it replaces).
     const int32_t HD = Lalp->HDIndex[Id];
-    if (Layout) {
-      std::array<std::byte, MaxPackedRecordBytes> Rec{};
-      packMessage(*Layout, Rec.data(), Id, M); // Dst rewritten per mirror
-      const size_t RS = Layout->recordSize();
-      for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
-        if (Lalp->fanout(HD, Worker) == 0)
-          continue;
-        std::vector<std::byte> &S = BcastShards[Worker];
-        S.insert(S.end(), Rec.data(), Rec.data() + RS);
-        BcastSrcs[Worker].push_back(Id);
-      }
-      return;
-    }
-    Message C = M;
-    C.Src = Id;
-    C.Dst = Id; // rewritten per mirror at delivery
-    for (unsigned Worker = 0; Worker < NumWorkers; ++Worker)
-      if (Lalp->fanout(HD, Worker) != 0)
-        BcastBoxed[Worker].push_back(C);
-    return;
-  }
-  if (Layout) {
-    // Pack the payload once; only the 4-byte destination header differs per
-    // neighbor. Zeroed scratch keeps record padding deterministic.
-    std::array<std::byte, MaxPackedRecordBytes> Rec{};
-    packMessage(*Layout, Rec.data(), InvalidNode, M);
-    const size_t RS = Layout->recordSize();
-    for (NodeId Nbr : G.outNeighbors(Id)) {
-      MessageLayout::writeDst(Rec.data(), Nbr);
-      const unsigned Worker = Part->workerOf(Nbr);
-      std::vector<std::byte> &S = PackedShards[Worker];
+    for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
+      if (Lalp->fanout(HD, Worker) == 0)
+        continue;
+      std::vector<std::byte> &S = BcastShards[Worker];
       S.insert(S.end(), Rec.data(), Rec.data() + RS);
-      ShardSrcs[Worker].push_back(Id);
+      BcastSrcs[Worker].push_back(Id);
     }
     return;
   }
-  Message C = M;
-  C.Src = Id;
   for (NodeId Nbr : G.outNeighbors(Id)) {
-    C.Dst = Nbr;
-    Shards[Part->workerOf(Nbr)].push_back(C);
+    MessageLayout::writeDst(Rec.data(), Nbr);
+    const unsigned Worker = Part->workerOf(Nbr);
+    std::vector<std::byte> &S = Outbox[Worker];
+    S.insert(S.end(), Rec.data(), Rec.data() + RS);
+    OutboxSrcs[Worker].push_back(Id);
   }
 }
 
 void VertexContext::sendTo(NodeId Target, const Message &M) {
   assert(Target < G.numNodes() && "sendTo target out of range");
-  const unsigned Worker = Part->workerOf(Target);
-  if (Layout) {
-    std::array<std::byte, MaxPackedRecordBytes> Rec{};
-    packMessage(*Layout, Rec.data(), Target, M);
-    std::vector<std::byte> &S = PackedShards[Worker];
-    S.insert(S.end(), Rec.data(), Rec.data() + Layout->recordSize());
-    ShardSrcs[Worker].push_back(Id);
+  std::array<std::byte, MaxPackedRecordBytes> Rec{};
+  if (!pack(Rec.data(), Target, M))
     return;
-  }
-  Message C = M;
-  C.Src = Id;
-  C.Dst = Target;
-  Shards[Worker].push_back(C);
+  const unsigned Worker = Part->workerOf(Target);
+  std::vector<std::byte> &S = Outbox[Worker];
+  S.insert(S.end(), Rec.data(), Rec.data() + Layout->recordSize());
+  OutboxSrcs[Worker].push_back(Id);
 }
 
 /// Scratch state for one worker; lives for the whole run so that outbox
 /// shards, combiner scratch, and private globals are reused every superstep.
 struct Engine::WorkerState {
-  /// Destination-sharded outbox: Shards[w] (boxed) or PackedShards[w]
-  /// (packed records) holds this worker's messages bound for worker w.
-  /// Cleared (capacity kept) by the receiving worker once delivered.
-  std::vector<std::vector<Message>> Shards;
-  std::vector<std::vector<std::byte>> PackedShards;
-  /// Source ids parallel to PackedShards, one per record: the canonical
-  /// ascending-source merge at delivery needs the sender, and packed
-  /// records don't carry it on the wire (boxed messages have Message::Src).
-  std::vector<std::vector<NodeId>> PackedSrcs;
+  /// Destination-sharded outbox: Outbox[w] holds this worker's records
+  /// bound for worker w. Cleared (capacity kept) by the receiving worker
+  /// once delivered.
+  std::vector<std::vector<std::byte>> Outbox;
+  /// Source ids parallel to Outbox, one per record: the canonical
+  /// ascending-source merge at delivery needs the sender, and records don't
+  /// carry it on the wire.
+  std::vector<std::vector<NodeId>> OutboxSrcs;
   /// LALP broadcast channel, per destination worker: one record per
-  /// high-degree broadcast (packed bytes + parallel sources, or boxed
-  /// messages), expanded via the mirror lists by the receiving worker.
+  /// high-degree broadcast (bytes + parallel sources), expanded via the
+  /// mirror lists by the receiving worker.
   std::vector<std::vector<std::byte>> BcastShards;
   std::vector<std::vector<NodeId>> BcastSrcs;
-  std::vector<std::vector<Message>> BcastBoxed;
   GlobalObjects PrivateGlobals;
   uint64_t GlobalsRevision = ~0ull; ///< revision PrivateGlobals was cloned at
+  /// The first message this worker's vertices sent that did not match the
+  /// program's MessageLayout ("" = none); reported when the run ends.
+  std::string Drift;
 
-  // Combiner scratch, reused across shards and supersteps.
-  std::unordered_map<uint64_t, size_t> CombineSlot;
-  std::vector<Message> CombineKept;
-
-  // Packed combiner scratch: dense destination-indexed tables instead of a
-  // hash map. DenseSlot[ord * N + dst] is the kept-record index for the
-  // (combinable tag ord, destination) pair; a matching DenseEpoch stamp
-  // says the entry is live for the current shard, so per-shard clearing is
-  // one counter bump instead of an O(N) wipe.
-  std::vector<std::byte> PackedKept;
-  std::vector<NodeId> KeptSrcs; ///< PackedSrcs compacted alongside PackedKept
+  // Combiner scratch, reused across shards and supersteps: dense
+  // destination-indexed tables instead of a hash map. DenseSlot[ord * N +
+  // dst] is the kept-record index for the (combinable tag ord, destination)
+  // pair; a matching DenseEpoch stamp says the entry is live for the
+  // current shard, so per-shard clearing is one counter bump instead of an
+  // O(N) wipe.
+  std::vector<std::byte> Kept;
+  std::vector<NodeId> KeptSrcs; ///< OutboxSrcs compacted alongside Kept
   std::vector<uint32_t> DenseSlot;
   std::vector<uint32_t> DenseEpoch;
   uint32_t Epoch = 0;
@@ -301,7 +268,8 @@ struct Engine::WorkerState {
   /// compute phase so quiescence needs an O(W) sum, not an O(N) scan.
   uint64_t ActiveCount = 0;
 
-  /// Base of this worker's region in InboxPool for the upcoming superstep.
+  /// Base of this worker's region in Engine::Inbox for the upcoming
+  /// superstep.
   uint32_t RegionStart = 0;
 
   // Frontier bookkeeping for sparse supersteps (docs/scheduling.md). All
@@ -358,34 +326,11 @@ Engine::Engine(const Graph &G, Config Cfg)
 
 Engine::~Engine() = default;
 
-void Engine::combineShard(WorkerState &WS, std::vector<Message> &Shard) {
-  std::unordered_map<uint64_t, size_t> &Slot = WS.CombineSlot;
-  std::vector<Message> &Kept = WS.CombineKept;
-  Slot.clear();
-  Kept.clear();
-  Kept.reserve(Shard.size());
-  for (Message &M : Shard) {
-    auto It = Cfg.Combiners.find(M.Type);
-    if (It == Cfg.Combiners.end() || M.Size != 1) {
-      Kept.push_back(M);
-      continue;
-    }
-    uint64_t Key = (uint64_t(M.Dst) << 32) | static_cast<uint32_t>(M.Type);
-    auto [SlotIt, Fresh] = Slot.try_emplace(Key, Kept.size());
-    if (Fresh) {
-      Kept.push_back(M);
-      continue;
-    }
-    applyReduce(It->second, Kept[SlotIt->second].Payload[0], M.Payload[0]);
-  }
-  Shard.swap(Kept); // Kept keeps the old buffer for reuse
-}
-
-void Engine::combineShardPacked(WorkerState &WS, std::vector<std::byte> &Shard,
-                                std::vector<NodeId> &Srcs) {
+void Engine::combineOutbox(WorkerState &WS, std::vector<std::byte> &Shard,
+                           std::vector<NodeId> &Srcs) {
   const size_t RS = RecordBytes;
   const NodeId N = G.numNodes();
-  std::vector<std::byte> &Kept = WS.PackedKept;
+  std::vector<std::byte> &Kept = WS.Kept;
   std::vector<NodeId> &KeptSrcs = WS.KeptSrcs;
   Kept.clear();
   Kept.reserve(Shard.size());
@@ -410,7 +355,7 @@ void Engine::combineShardPacked(WorkerState &WS, std::vector<std::byte> &Shard,
     const size_t Key = size_t(Ord) * N + MessageLayout::recordDst(P);
     if (WS.DenseEpoch[Key] != Epoch) {
       // First message of this (tag, dst) pair: keep it in arrival position,
-      // matching the boxed combiner, so delivery order is unchanged.
+      // so delivery order is unchanged.
       WS.DenseEpoch[Key] = Epoch;
       WS.DenseSlot[Key] = static_cast<uint32_t>(Kept.size() / RS);
       Kept.insert(Kept.end(), P, P + RS);
@@ -434,13 +379,6 @@ bool Engine::decideSparse(uint64_t Estimate) const {
   case ScheduleMode::Auto:
     break;
   }
-  // Compile-time frontier-shape advice settles the question without an
-  // estimate: a program whose vertex states all flood (or all strictly
-  // follow messages) never benefits from per-step guessing.
-  if (Cfg.Hint == ScheduleHint::Dense)
-    return false;
-  if (Cfg.Hint == ScheduleHint::Sparse)
-    return true;
   // Ligra/GraphIt-style direction threshold: frontier iteration only pays
   // when the step touches well under numNodes / divisor vertices; the
   // estimate (active after voting + delivered messages) upper-bounds the
@@ -451,8 +389,7 @@ bool Engine::decideSparse(uint64_t Estimate) const {
 }
 
 size_t Engine::shardCount(unsigned Sender, unsigned Dst) const {
-  return UsePacked ? Workers[Sender].PackedShards[Dst].size() / RecordBytes
-                   : Workers[Sender].Shards[Dst].size();
+  return Workers[Sender].Outbox[Dst].size() / RecordBytes;
 }
 
 void Engine::computePhase(unsigned WorkerId, VertexProgram &Program,
@@ -476,29 +413,21 @@ void Engine::computePhase(unsigned WorkerId, VertexProgram &Program,
   auto RunVertex = [&](NodeId V) -> uint8_t {
     const uint32_t InCount = InboxCount[V];
     VertexContext Ctx(V, Step, G, Globals, WS.PrivateGlobals);
-    if (UsePacked) {
-      // Wire the inbox cursor up only when there is something to read: a
-      // vertex that received nothing can carry a stale offset after a
-      // sparse-style delivery (offsets are laid out per receiver only).
-      if (InCount > 0) {
-        Ctx.PackedInbox =
-            PackedInboxPool.data() + size_t(InboxOffset[V]) * RecordBytes;
-        Ctx.InboxN = InCount;
-      }
-      Ctx.PackedShards = WS.PackedShards.data();
-      Ctx.ShardSrcs = WS.PackedSrcs.data();
-      Ctx.Layout = &Layout;
-    } else {
-      if (InCount > 0)
-        Ctx.Inbox = std::span<const Message>(InboxPool.data() + InboxOffset[V],
-                                             InCount);
-      Ctx.Shards = WS.Shards.data();
+    // Wire the inbox cursor up only when there is something to read: a
+    // vertex that received nothing can carry a stale offset after a
+    // sparse-style delivery (offsets are laid out per receiver only).
+    if (InCount > 0) {
+      Ctx.Inbox = Inbox.data() + size_t(InboxOffset[V]) * RecordBytes;
+      Ctx.InboxN = InCount;
     }
+    Ctx.Outbox = WS.Outbox.data();
+    Ctx.OutboxSrcs = WS.OutboxSrcs.data();
+    Ctx.Layout = &Layout;
+    Ctx.Drift = &WS.Drift;
     if (Lalp.enabled()) {
       Ctx.Lalp = &Lalp;
       Ctx.BcastShards = WS.BcastShards.data();
       Ctx.BcastSrcs = WS.BcastSrcs.data();
-      Ctx.BcastBoxed = WS.BcastBoxed.data();
     }
     Ctx.Part = &Part;
     Ctx.NumWorkers = W;
@@ -542,40 +471,27 @@ void Engine::computePhase(unsigned WorkerId, VertexProgram &Program,
   WS.StepMirrorSaved = 0;
   uint64_t CombineIn = 0, CombineOut = 0;
   for (unsigned Dst = 0; Dst < W; ++Dst) {
-    if (UsePacked) {
-      std::vector<std::byte> &Shard = WS.PackedShards[Dst];
-      if (!Cfg.Combiners.empty()) {
-        CombineIn += Shard.size() / RecordBytes;
-        combineShardPacked(WS, Shard, WS.PackedSrcs[Dst]);
-        CombineOut += Shard.size() / RecordBytes;
-      }
-      const uint64_t Count = Shard.size() / RecordBytes;
-      WS.StepMessages += Count;
-      if (Dst != WorkerId) {
-        WS.StepNetworkMessages += Count;
-        // Wire bytes are a per-type constant (WireBytesByTag); an untagged
-        // layout needs no per-record walk at all.
-        if (!Layout.storesTag())
-          WS.StepNetworkBytes += Count * WireBytesByTag[Layout.soleTag()];
-        else
-          for (const std::byte *P = Shard.data(), *E = P + Shard.size();
-               P != E; P += RecordBytes)
-            WS.StepNetworkBytes += WireBytesByTag[Layout.recordTag(P)];
-      }
-      continue;
-    }
-    std::vector<Message> &Shard = WS.Shards[Dst];
+    std::vector<std::byte> &Shard = WS.Outbox[Dst];
     if (!Cfg.Combiners.empty()) {
-      CombineIn += Shard.size();
-      combineShard(WS, Shard);
-      CombineOut += Shard.size();
+      CombineIn += Shard.size() / RecordBytes;
+      combineOutbox(WS, Shard, WS.OutboxSrcs[Dst]);
+      CombineOut += Shard.size() / RecordBytes;
     }
-    WS.StepMessages += Shard.size();
-    if (Dst != WorkerId) {
-      WS.StepNetworkMessages += Shard.size();
-      for (const Message &M : Shard)
-        WS.StepNetworkBytes += M.wireSize(Cfg.TaggedMessages);
-    }
+    const uint64_t Count = Shard.size() / RecordBytes;
+    WS.StepMessages += Count;
+    // Empty shards skip the tally: a layout without exactly one type has
+    // no soleTag (the empty layout of a program that sends nothing).
+    if (Dst == WorkerId || Count == 0)
+      continue;
+    WS.StepNetworkMessages += Count;
+    // Wire bytes are a per-type constant (WireBytesByTag); an untagged
+    // layout needs no per-record walk at all.
+    if (!Layout.storesTag())
+      WS.StepNetworkBytes += Count * WireBytesByTag[Layout.soleTag()];
+    else
+      for (const std::byte *P = Shard.data(), *E = P + Shard.size(); P != E;
+           P += RecordBytes)
+        WS.StepNetworkBytes += WireBytesByTag[Layout.recordTag(P)];
   }
 
   // LALP broadcast channel: each record counts as one sent message; the
@@ -586,36 +502,20 @@ void Engine::computePhase(unsigned WorkerId, VertexProgram &Program,
   if (Lalp.enabled()) {
     WS.BcastExpanded.assign(W, 0);
     for (unsigned Dst = 0; Dst < W; ++Dst) {
-      if (UsePacked) {
-        const std::vector<std::byte> &Shard = WS.BcastShards[Dst];
-        const std::vector<NodeId> &Srcs = WS.BcastSrcs[Dst];
-        const uint64_t Count = Shard.size() / RecordBytes;
-        WS.StepMessages += Count;
-        if (Dst != WorkerId)
-          WS.StepNetworkMessages += Count;
-        const std::byte *P = Shard.data();
-        for (uint64_t I = 0; I < Count; ++I, P += RecordBytes) {
-          const uint64_t F = Lalp.fanout(Lalp.HDIndex[Srcs[I]], Dst);
-          WS.BcastExpanded[Dst] += F;
-          if (Dst != WorkerId) {
-            const uint32_t WB = !Layout.storesTag()
-                                    ? WireBytesByTag[Layout.soleTag()]
-                                    : WireBytesByTag[Layout.recordTag(P)];
-            WS.StepNetworkBytes += WB;
-            WS.StepMirrorSaved += (F - 1) * WB;
-          }
-        }
-        continue;
-      }
-      const std::vector<Message> &Shard = WS.BcastBoxed[Dst];
-      WS.StepMessages += Shard.size();
+      const std::vector<std::byte> &Shard = WS.BcastShards[Dst];
+      const std::vector<NodeId> &Srcs = WS.BcastSrcs[Dst];
+      const uint64_t Count = Shard.size() / RecordBytes;
+      WS.StepMessages += Count;
       if (Dst != WorkerId)
-        WS.StepNetworkMessages += Shard.size();
-      for (const Message &M : Shard) {
-        const uint64_t F = Lalp.fanout(Lalp.HDIndex[M.Src], Dst);
+        WS.StepNetworkMessages += Count;
+      const std::byte *P = Shard.data();
+      for (uint64_t I = 0; I < Count; ++I, P += RecordBytes) {
+        const uint64_t F = Lalp.fanout(Lalp.HDIndex[Srcs[I]], Dst);
         WS.BcastExpanded[Dst] += F;
         if (Dst != WorkerId) {
-          const uint32_t WB = M.wireSize(Cfg.TaggedMessages);
+          const uint32_t WB = !Layout.storesTag()
+                                  ? WireBytesByTag[Layout.soleTag()]
+                                  : WireBytesByTag[Layout.recordTag(P)];
           WS.StepNetworkBytes += WB;
           WS.StepMirrorSaved += (F - 1) * WB;
         }
@@ -657,7 +557,7 @@ void Engine::deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM) {
 
   // Merge of this worker's inbound shards (shard WorkerId of every sender —
   // normal channel first, then the LALP broadcast channel) into its region
-  // of the inbox pool, in canonical order: per destination vertex, messages
+  // of the inbox, in canonical order: per destination vertex, messages
   // land in ascending source id, ties in the source's emission order (its
   // normal sends before its broadcast). Every shard is already
   // source-ascending because vertex loops walk owned vertices in ascending
@@ -710,208 +610,36 @@ void Engine::deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM) {
   bool AnyInbound = false;
   for (unsigned Sender = 0; Sender < W && !AnyInbound; ++Sender) {
     const WorkerState &SS = Workers[Sender];
-    if (UsePacked)
-      AnyInbound = !SS.PackedShards[WorkerId].empty() ||
-                   (HasLalp && !SS.BcastSrcs[WorkerId].empty());
-    else
-      AnyInbound = !SS.Shards[WorkerId].empty() ||
-                   (HasLalp && !SS.BcastBoxed[WorkerId].empty());
+    AnyInbound = !SS.Outbox[WorkerId].empty() ||
+                 (HasLalp && !SS.BcastSrcs[WorkerId].empty());
   }
   if (!AnyInbound) {
     Finish();
     return;
   }
 
-  if (UsePacked) {
-    const size_t RS = RecordBytes;
-    // Count deliveries per destination vertex (broadcasts count once per
-    // mirror). The frontier-tracking variants are split out so the dense
-    // counting loop stays branch-free.
-    auto CountDst = [&](NodeId Dst) {
-      if (++InboxCount[Dst] == 1)
-        WS.NewReceived.push_back(Dst);
-    };
-    for (unsigned Sender = 0; Sender < W; ++Sender) {
-      const std::vector<std::byte> &Shard =
-          Workers[Sender].PackedShards[WorkerId];
-      if (TrackNext)
-        for (const std::byte *P = Shard.data(), *E = P + Shard.size(); P != E;
-             P += RS)
-          CountDst(MessageLayout::recordDst(P));
-      else
-        for (const std::byte *P = Shard.data(), *E = P + Shard.size(); P != E;
-             P += RS)
-          ++InboxCount[MessageLayout::recordDst(P)];
-      if (!HasLalp)
-        continue;
-      for (NodeId Src : Workers[Sender].BcastSrcs[WorkerId]) {
-        const int32_t HD = Lalp.HDIndex[Src];
-        const uint32_t F = Lalp.fanout(HD, WorkerId);
-        const NodeId *Mir = Lalp.mirrors(HD, WorkerId);
-        for (uint32_t J = 0; J < F; ++J) {
-          if (TrackNext)
-            CountDst(Mir[J]);
-          else
-            ++InboxCount[Mir[J]];
-        }
-      }
-    }
-
-    // Region layout. On a frontier-tracking delivery only the receivers get
-    // fresh offsets: laid out over the sorted receiver list, they come out
-    // identical to the full owned scan's, since zero-count vertices advance
-    // Base by nothing (compute reads offsets only when InboxCount > 0).
-    uint32_t Base = WS.RegionStart;
-    if (TrackNext) {
-      std::sort(WS.NewReceived.begin(), WS.NewReceived.end());
-      for (NodeId V : WS.NewReceived) {
-        InboxOffset[V] = Base;
-        Cursor[V] = Base;
-        Base += InboxCount[V];
-      }
-    } else {
-      forEachOwned(WorkerId, [&](NodeId V) {
-        InboxOffset[V] = Base;
-        Cursor[V] = Base;
-        Base += InboxCount[V];
-      });
-    }
-
-    // Receive-side combining: with LALP on, a broadcast expands into many
-    // same-payload deliveries, so combiners must also fold after expansion
-    // to keep inboxes small. LALP-off runs skip this entirely and stay
-    // bit-identical to the historical sender-combined behaviour.
-    const bool RecvCombine = HasLalp && NumCombinable > 0;
-    if (RecvCombine && ++WS.Epoch == 0) {
-      std::fill(WS.DenseEpoch.begin(), WS.DenseEpoch.end(), 0u);
-      WS.Epoch = 1;
-    }
-    const uint32_t Epoch = WS.Epoch;
-
-    auto Deliver = [&](const std::byte *P, NodeId Dst) {
-      if (RecvCombine) {
-        const int32_t Tag = Layout.recordTag(P);
-        const int32_t Ord = CombineOrd[Tag];
-        if (Ord >= 0) {
-          const size_t Key = size_t(Ord) * N + Dst;
-          if (WS.DenseEpoch[Key] == Epoch) {
-            const MsgTypeLayout &T = Layout.type(Tag);
-            std::byte *Acc = PackedInboxPool.data() +
-                             size_t(WS.DenseSlot[Key]) * RS + T.Offset[0];
-            applyReduceRaw(CombineOpByTag[Tag], T.Slots[0], Acc,
-                           P + T.Offset[0]);
-            return;
-          }
-          WS.DenseEpoch[Key] = Epoch;
-          WS.DenseSlot[Key] = Cursor[Dst];
-        }
-      }
-      std::byte *Out = PackedInboxPool.data() + size_t(Cursor[Dst]++) * RS;
-      std::memcpy(Out, P, RS);
-      MessageLayout::writeDst(Out, Dst);
-    };
-
-    // Merge runs in a fixed scan order (normal shards by sender, then
-    // broadcast shards by sender); the earliest run wins head ties, which
-    // is exactly the canonical tie-break since one source's normal sends
-    // live in a single run and its broadcasts in a single later run.
-    struct Run {
-      const std::byte *P, *E;
-      const NodeId *S;
-      bool Bcast;
-    };
-    std::vector<Run> Runs;
-    Runs.reserve(2 * W);
-    for (unsigned Sender = 0; Sender < W; ++Sender) {
-      const std::vector<std::byte> &Shard =
-          Workers[Sender].PackedShards[WorkerId];
-      if (!Shard.empty())
-        Runs.push_back({Shard.data(), Shard.data() + Shard.size(),
-                        Workers[Sender].PackedSrcs[WorkerId].data(), false});
-    }
-    if (HasLalp)
-      for (unsigned Sender = 0; Sender < W; ++Sender) {
-        const std::vector<std::byte> &Shard =
-            Workers[Sender].BcastShards[WorkerId];
-        if (!Shard.empty())
-          Runs.push_back({Shard.data(), Shard.data() + Shard.size(),
-                          Workers[Sender].BcastSrcs[WorkerId].data(), true});
-      }
-
-    uint64_t Received = 0;
-    while (!Runs.empty()) {
-      size_t Best = 0;
-      for (size_t R = 1; R < Runs.size(); ++R)
-        if (*Runs[R].S < *Runs[Best].S)
-          Best = R;
-      Run &Rn = Runs[Best];
-      const NodeId Src = *Rn.S;
-      do {
-        if (!Rn.Bcast) {
-          const NodeId Dst = MessageLayout::recordDst(Rn.P);
-          assert(Part.workerOf(Dst) == WorkerId && "message in wrong shard");
-          Deliver(Rn.P, Dst);
-          ++Received;
-        } else {
-          const int32_t HD = Lalp.HDIndex[Src];
-          const uint32_t F = Lalp.fanout(HD, WorkerId);
-          const NodeId *Mir = Lalp.mirrors(HD, WorkerId);
-          for (uint32_t J = 0; J < F; ++J)
-            Deliver(Rn.P, Mir[J]);
-          Received += F;
-          WS.StepMirrorHits += F;
-        }
-        Rn.P += RS;
-        ++Rn.S;
-      } while (Rn.P != Rn.E && *Rn.S == Src);
-      if (Rn.P == Rn.E)
-        Runs.erase(Runs.begin() + Best); // keep scan order for tie-breaks
-    }
-
-    // Combining shortened some vertices' inboxes in place (a combined
-    // vertex still holds >= 1 message, so receiver membership is unchanged).
-    if (RecvCombine) {
-      if (TrackNext)
-        for (NodeId V : WS.NewReceived)
-          InboxCount[V] = Cursor[V] - InboxOffset[V];
-      else
-        forEachOwned(
-            WorkerId,
-            [&](NodeId V) { InboxCount[V] = Cursor[V] - InboxOffset[V]; });
-    }
-
-    for (unsigned Sender = 0; Sender < W; ++Sender) {
-      // Capacity kept; the sender refills them next superstep.
-      Workers[Sender].PackedShards[WorkerId].clear();
-      Workers[Sender].PackedSrcs[WorkerId].clear();
-      if (HasLalp) {
-        Workers[Sender].BcastShards[WorkerId].clear();
-        Workers[Sender].BcastSrcs[WorkerId].clear();
-      }
-    }
-    if (SM) {
-      SM->Workers[WorkerId].MessagesReceived = Received;
-      SM->Workers[WorkerId].MirrorHits = WS.StepMirrorHits;
-    }
-    Finish();
-    return;
-  }
-
+  const size_t RS = RecordBytes;
+  // Count deliveries per destination vertex (broadcasts count once per
+  // mirror). The frontier-tracking variants are split out so the dense
+  // counting loop stays branch-free.
   auto CountDst = [&](NodeId Dst) {
     if (++InboxCount[Dst] == 1)
       WS.NewReceived.push_back(Dst);
   };
   for (unsigned Sender = 0; Sender < W; ++Sender) {
+    const std::vector<std::byte> &Shard = Workers[Sender].Outbox[WorkerId];
     if (TrackNext)
-      for (const Message &M : Workers[Sender].Shards[WorkerId])
-        CountDst(M.Dst);
+      for (const std::byte *P = Shard.data(), *E = P + Shard.size(); P != E;
+           P += RS)
+        CountDst(MessageLayout::recordDst(P));
     else
-      for (const Message &M : Workers[Sender].Shards[WorkerId])
-        ++InboxCount[M.Dst];
+      for (const std::byte *P = Shard.data(), *E = P + Shard.size(); P != E;
+           P += RS)
+        ++InboxCount[MessageLayout::recordDst(P)];
     if (!HasLalp)
       continue;
-    for (const Message &M : Workers[Sender].BcastBoxed[WorkerId]) {
-      const int32_t HD = Lalp.HDIndex[M.Src];
+    for (NodeId Src : Workers[Sender].BcastSrcs[WorkerId]) {
+      const int32_t HD = Lalp.HDIndex[Src];
       const uint32_t F = Lalp.fanout(HD, WorkerId);
       const NodeId *Mir = Lalp.mirrors(HD, WorkerId);
       for (uint32_t J = 0; J < F; ++J) {
@@ -923,6 +651,10 @@ void Engine::deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM) {
     }
   }
 
+  // Region layout. On a frontier-tracking delivery only the receivers get
+  // fresh offsets: laid out over the sorted receiver list, they come out
+  // identical to the full owned scan's, since zero-count vertices advance
+  // Base by nothing (compute reads offsets only when InboxCount > 0).
   uint32_t Base = WS.RegionStart;
   if (TrackNext) {
     std::sort(WS.NewReceived.begin(), WS.NewReceived.end());
@@ -939,82 +671,98 @@ void Engine::deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM) {
     });
   }
 
-  // Layout cross-check (sequential boxed runs only; threaded runs would
-  // race on the shared error slot).
-  const MessageLayout *Check = Cfg.Threaded ? nullptr : Cfg.ValidateLayout;
+  // Receive-side combining: with LALP on, a broadcast expands into many
+  // same-payload deliveries, so combiners must also fold after expansion
+  // to keep inboxes small. LALP-off runs skip this entirely and stay
+  // bit-identical to the historical sender-combined behaviour.
+  const bool RecvCombine = HasLalp && NumCombinable > 0;
+  if (RecvCombine && ++WS.Epoch == 0) {
+    std::fill(WS.DenseEpoch.begin(), WS.DenseEpoch.end(), 0u);
+    WS.Epoch = 1;
+  }
+  const uint32_t Epoch = WS.Epoch;
 
-  const bool RecvCombine = HasLalp && !Cfg.Combiners.empty();
-  if (RecvCombine)
-    WS.CombineSlot.clear();
-
-  auto Deliver = [&](const Message &M, NodeId Dst) {
-    if (RecvCombine && M.Size == 1) {
-      auto It = Cfg.Combiners.find(M.Type);
-      if (It != Cfg.Combiners.end()) {
-        const uint64_t Key =
-            (uint64_t(Dst) << 32) | static_cast<uint32_t>(M.Type);
-        auto [SlotIt, Fresh] = WS.CombineSlot.try_emplace(Key, Cursor[Dst]);
-        if (!Fresh) {
-          applyReduce(It->second, InboxPool[SlotIt->second].Payload[0],
-                      M.Payload[0]);
+  auto Deliver = [&](const std::byte *P, NodeId Dst) {
+    if (RecvCombine) {
+      const int32_t Tag = Layout.recordTag(P);
+      const int32_t Ord = CombineOrd[Tag];
+      if (Ord >= 0) {
+        const size_t Key = size_t(Ord) * N + Dst;
+        if (WS.DenseEpoch[Key] == Epoch) {
+          const MsgTypeLayout &T = Layout.type(Tag);
+          std::byte *Acc =
+              Inbox.data() + size_t(WS.DenseSlot[Key]) * RS + T.Offset[0];
+          applyReduceRaw(CombineOpByTag[Tag], T.Slots[0], Acc,
+                         P + T.Offset[0]);
           return;
         }
+        WS.DenseEpoch[Key] = Epoch;
+        WS.DenseSlot[Key] = Cursor[Dst];
       }
     }
-    Message &Out = InboxPool[Cursor[Dst]++];
-    Out = M;
-    Out.Dst = Dst;
+    std::byte *Out = Inbox.data() + size_t(Cursor[Dst]++) * RS;
+    std::memcpy(Out, P, RS);
+    MessageLayout::writeDst(Out, Dst);
   };
 
+  // Merge runs in a fixed scan order (normal shards by sender, then
+  // broadcast shards by sender); the earliest run wins head ties, which
+  // is exactly the canonical tie-break since one source's normal sends
+  // live in a single run and its broadcasts in a single later run.
   struct Run {
-    const Message *P, *E;
+    const std::byte *P, *E;
+    const NodeId *S;
     bool Bcast;
   };
   std::vector<Run> Runs;
   Runs.reserve(2 * W);
   for (unsigned Sender = 0; Sender < W; ++Sender) {
-    const std::vector<Message> &Shard = Workers[Sender].Shards[WorkerId];
+    const std::vector<std::byte> &Shard = Workers[Sender].Outbox[WorkerId];
     if (!Shard.empty())
-      Runs.push_back({Shard.data(), Shard.data() + Shard.size(), false});
+      Runs.push_back({Shard.data(), Shard.data() + Shard.size(),
+                      Workers[Sender].OutboxSrcs[WorkerId].data(), false});
   }
   if (HasLalp)
     for (unsigned Sender = 0; Sender < W; ++Sender) {
-      const std::vector<Message> &Shard = Workers[Sender].BcastBoxed[WorkerId];
+      const std::vector<std::byte> &Shard =
+          Workers[Sender].BcastShards[WorkerId];
       if (!Shard.empty())
-        Runs.push_back({Shard.data(), Shard.data() + Shard.size(), true});
+        Runs.push_back({Shard.data(), Shard.data() + Shard.size(),
+                        Workers[Sender].BcastSrcs[WorkerId].data(), true});
     }
 
   uint64_t Received = 0;
   while (!Runs.empty()) {
     size_t Best = 0;
     for (size_t R = 1; R < Runs.size(); ++R)
-      if (Runs[R].P->Src < Runs[Best].P->Src)
+      if (*Runs[R].S < *Runs[Best].S)
         Best = R;
     Run &Rn = Runs[Best];
-    const NodeId Src = Rn.P->Src;
+    const NodeId Src = *Rn.S;
     do {
-      if (Check && LayoutCheckError.empty())
-        LayoutCheckError = schemaMismatch(*Check, *Rn.P);
       if (!Rn.Bcast) {
-        assert(Part.workerOf(Rn.P->Dst) == WorkerId &&
-               "message in wrong shard");
-        Deliver(*Rn.P, Rn.P->Dst);
+        const NodeId Dst = MessageLayout::recordDst(Rn.P);
+        assert(Part.workerOf(Dst) == WorkerId && "message in wrong shard");
+        Deliver(Rn.P, Dst);
         ++Received;
       } else {
         const int32_t HD = Lalp.HDIndex[Src];
         const uint32_t F = Lalp.fanout(HD, WorkerId);
         const NodeId *Mir = Lalp.mirrors(HD, WorkerId);
         for (uint32_t J = 0; J < F; ++J)
-          Deliver(*Rn.P, Mir[J]);
+          Deliver(Rn.P, Mir[J]);
         Received += F;
         WS.StepMirrorHits += F;
       }
-      ++Rn.P;
-    } while (Rn.P != Rn.E && Rn.P->Src == Src);
+      Rn.P += RS;
+      ++Rn.S;
+    } while (Rn.P != Rn.E && *Rn.S == Src);
     if (Rn.P == Rn.E)
       Runs.erase(Runs.begin() + Best); // keep scan order for tie-breaks
   }
 
+  // Combining shortened some vertices' inboxes in place (a combined
+  // vertex still holds >= 1 message, so receiver membership is unchanged).
   if (RecvCombine) {
     if (TrackNext)
       for (NodeId V : WS.NewReceived)
@@ -1027,9 +775,12 @@ void Engine::deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM) {
 
   for (unsigned Sender = 0; Sender < W; ++Sender) {
     // Capacity kept; the sender refills them next superstep.
-    Workers[Sender].Shards[WorkerId].clear();
-    if (HasLalp)
-      Workers[Sender].BcastBoxed[WorkerId].clear();
+    Workers[Sender].Outbox[WorkerId].clear();
+    Workers[Sender].OutboxSrcs[WorkerId].clear();
+    if (HasLalp) {
+      Workers[Sender].BcastShards[WorkerId].clear();
+      Workers[Sender].BcastSrcs[WorkerId].clear();
+    }
   }
   if (SM) {
     SM->Workers[WorkerId].MessagesReceived = Received;
@@ -1048,92 +799,57 @@ RunStats Engine::run(VertexProgram &Program) {
   InboxOffset.assign(N, 0);
   InboxCount.assign(N, 0);
   Cursor.assign(N, 0);
-  InboxPool.clear();
-  PackedInboxPool.clear();
+  Inbox.clear();
   PendingMessageCount = 0;
   Globals = GlobalObjects();
 
-  // Packed mailboxes run whenever the program declares a message layout
-  // (and packing is not switched off). Per-tag wire bytes and combiner
-  // dispatch are resolved here, once per run, off the hot path.
-  Layout = MessageLayout();
-  if (Cfg.Format == MessageFormat::Packed)
-    Layout = Program.messageLayout();
-  // Registration-time sanity: a layout whose records exceed the fixed
-  // sender scratch cannot be packed; fall back to boxed (always correct)
-  // rather than corrupting mailboxes.
-  if (!Layout.empty() && Layout.recordSize() > MaxPackedRecordBytes) {
-    if (Cfg.Diags)
-      Cfg.Diags->error(SourceLocation(),
-                       "pregel engine: declared message layout needs " +
-                           std::to_string(Layout.recordSize()) +
-                           "-byte records (limit " +
-                           std::to_string(MaxPackedRecordBytes) +
-                           "); falling back to boxed mailboxes");
-    Layout = MessageLayout();
-  }
-  LayoutCheckError.clear();
-  UsePacked = !Layout.empty();
-  RecordBytes = UsePacked ? Layout.recordSize() : 0;
-  WireBytesByTag.clear();
-  CombineOrd.clear();
-  CombineOpByTag.clear();
+  // Per-tag wire bytes and combiner dispatch are resolved here, once per
+  // run, off the hot path.
+  Layout = Program.messageLayout();
+  RecordBytes = Layout.recordSize();
+  WireBytesByTag.assign(Layout.maxTag() + 1, 0);
+  CombineOrd.assign(Layout.maxTag() + 1, -1);
+  CombineOpByTag.assign(Layout.maxTag() + 1, ReduceKind::Sum);
   NumCombinable = 0;
-  if (UsePacked) {
-    WireBytesByTag.assign(Layout.maxTag() + 1, 0);
-    CombineOrd.assign(Layout.maxTag() + 1, -1);
-    CombineOpByTag.assign(Layout.maxTag() + 1, ReduceKind::Sum);
-    for (int32_t Tag = 0; Tag <= Layout.maxTag(); ++Tag) {
-      if (!Layout.hasType(Tag))
-        continue;
-      WireBytesByTag[Tag] = Layout.wireBytes(Tag, Cfg.TaggedMessages);
-      auto It = Cfg.Combiners.find(Tag);
-      if (It != Cfg.Combiners.end() && Layout.type(Tag).Slots.size() == 1) {
-        CombineOrd[Tag] = static_cast<int32_t>(NumCombinable++);
-        CombineOpByTag[Tag] = It->second;
-      }
+  for (int32_t Tag = 0; Tag <= Layout.maxTag(); ++Tag) {
+    if (!Layout.hasType(Tag))
+      continue;
+    WireBytesByTag[Tag] = Layout.wireBytes(Tag, Cfg.TaggedMessages);
+    auto It = Cfg.Combiners.find(Tag);
+    if (It != Cfg.Combiners.end() && Layout.type(Tag).Slots.size() == 1) {
+      CombineOrd[Tag] = static_cast<int32_t>(NumCombinable++);
+      CombineOpByTag[Tag] = It->second;
     }
   }
 
   Workers.resize(W);
   for (unsigned WorkerId = 0; WorkerId < W; ++WorkerId) {
     WorkerState &WS = Workers[WorkerId];
-    if (UsePacked) {
-      WS.PackedShards.resize(W);
-      for (std::vector<std::byte> &S : WS.PackedShards)
-        S.clear();
-      WS.PackedSrcs.resize(W);
-      for (std::vector<NodeId> &S : WS.PackedSrcs)
-        S.clear();
-      WS.PackedKept.clear();
-      WS.KeptSrcs.clear();
-      if (NumCombinable > 0) {
-        WS.DenseEpoch.assign(size_t(NumCombinable) * N, 0);
-        WS.DenseSlot.resize(size_t(NumCombinable) * N);
-        WS.Epoch = 0;
-      }
-    } else {
-      WS.Shards.resize(W);
-      for (std::vector<Message> &S : WS.Shards)
-        S.clear();
+    WS.Outbox.resize(W);
+    for (std::vector<std::byte> &S : WS.Outbox)
+      S.clear();
+    WS.OutboxSrcs.resize(W);
+    for (std::vector<NodeId> &S : WS.OutboxSrcs)
+      S.clear();
+    WS.Kept.clear();
+    WS.KeptSrcs.clear();
+    if (NumCombinable > 0) {
+      WS.DenseEpoch.assign(size_t(NumCombinable) * N, 0);
+      WS.DenseSlot.resize(size_t(NumCombinable) * N);
+      WS.Epoch = 0;
     }
     if (Lalp.enabled()) {
-      if (UsePacked) {
-        WS.BcastShards.resize(W);
-        for (std::vector<std::byte> &S : WS.BcastShards)
-          S.clear();
-        WS.BcastSrcs.resize(W);
-        for (std::vector<NodeId> &S : WS.BcastSrcs)
-          S.clear();
-      } else {
-        WS.BcastBoxed.resize(W);
-        for (std::vector<Message> &S : WS.BcastBoxed)
-          S.clear();
-      }
+      WS.BcastShards.resize(W);
+      for (std::vector<std::byte> &S : WS.BcastShards)
+        S.clear();
+      WS.BcastSrcs.resize(W);
+      for (std::vector<NodeId> &S : WS.BcastSrcs)
+        S.clear();
     }
     WS.BcastExpanded.assign(W, 0);
     WS.ActiveCount = Part.ownedCount(WorkerId);
     WS.GlobalsRevision = ~0ull;
+    WS.Drift.clear();
     WS.Frontier.clear();
     WS.Survivors.clear();
     WS.Received.clear();
@@ -1282,10 +998,7 @@ RunStats Engine::run(VertexProgram &Program) {
     NextEstimate = ActiveAfterTotal + StepDelivered;
     NextSparse = decideSparse(NextEstimate);
     Globals.resolveBarrier();
-    if (UsePacked)
-      PackedInboxPool.resize(size_t(StepDelivered) * RecordBytes);
-    else
-      InboxPool.resize(StepDelivered);
+    Inbox.resize(size_t(StepDelivered) * RecordBytes);
 
     // Barrier, parallel part: every worker merges its own inbound messages
     // into its inbox region in canonical source order. BarrierSeconds covers
@@ -1354,9 +1067,10 @@ RunStats Engine::run(VertexProgram &Program) {
               "messages in flight)");
   }
 
-  if (!LayoutCheckError.empty() && Cfg.Diags)
-    Cfg.Diags->error(SourceLocation(),
-                     "message layout drift: " + LayoutCheckError);
+  if (Cfg.Diags)
+    for (const WorkerState &WS : Workers)
+      if (!WS.Drift.empty())
+        Cfg.Diags->error(SourceLocation(), "message layout drift: " + WS.Drift);
 
   Stats.WallSeconds = secondsSince(Start);
   Stats.PeakRssBytes = trace::peakRssBytes();
@@ -1365,18 +1079,12 @@ RunStats Engine::run(VertexProgram &Program) {
 
 std::string pregel::checkDeclaredMessageLayout(VertexProgram &Program,
                                                const Graph &G, Config Cfg) {
-  MessageLayout Declared = Program.messageLayout();
-  if (Declared.empty())
-    return ""; // nothing declared: the engine runs boxed, nothing can drift
-  Cfg.Format = MessageFormat::Boxed; // observe the raw boxed messages
-  Cfg.Threaded = false;
-  Cfg.ValidateLayout = &Declared;
   DiagnosticEngine Diags;
   Cfg.Diags = &Diags;
-  Engine E(G, Cfg);
-  E.run(Program);
+  Engine(G, Cfg).run(Program);
+  const std::string Prefix = "message layout drift: ";
   for (const Diagnostic &D : Diags.diagnostics())
-    if (D.Message.rfind("message layout drift: ", 0) == 0)
-      return D.Message.substr(std::string("message layout drift: ").size());
+    if (D.Message.rfind(Prefix, 0) == 0)
+      return D.Message.substr(Prefix.size());
   return "";
 }

@@ -82,12 +82,6 @@ struct RunStats {
   std::string toString() const;
 };
 
-/// How messages travel through the engine's mailboxes.
-enum class MessageFormat : uint8_t {
-  Boxed, ///< std::vector<Message> mailboxes (fat AoS structs)
-  Packed ///< flat fixed-size records per the program's MessageLayout
-};
-
 /// Engine configuration.
 /// Which execution backend runs a compiled program (consumed by
 /// exec::runProgramWithBackend; the engine itself is backend-agnostic).
@@ -113,16 +107,6 @@ const char *scheduleModeName(ScheduleMode M);
 /// Parses "auto" / "dense" / "sparse"; nullopt on anything else.
 std::optional<ScheduleMode> parseScheduleMode(std::string_view Name);
 
-/// Compile-time schedule advice from the frontier-shape analysis
-/// (pir::ScheduleClass, docs/analysis.md). Consulted only under
-/// ScheduleMode::Auto: Dense pins the full-scan path, Sparse pins frontier
-/// iteration, None keeps the per-superstep estimate heuristic. Explicit
-/// --schedule dense/sparse always wins. Results are bit-identical either
-/// way — the hint only removes per-step guessing.
-enum class ScheduleHint : uint8_t { None, Dense, Sparse };
-
-const char *scheduleHintName(ScheduleHint H);
-
 struct Config {
   unsigned NumWorkers = 4;
   bool Threaded = false;     ///< real std::thread workers vs. sequential sim
@@ -137,17 +121,14 @@ struct Config {
   uint64_t RandomSeed = 1;   ///< seed for master-side PickRandom
   uint64_t MaxSupersteps = 1u << 20; ///< runaway guard
   bool TaggedMessages = false; ///< program uses >1 message type (adds 4B/msg)
-  /// Mailbox wire format. Packed is the default; the engine falls back to
-  /// boxed when the program declares no MessageLayout. Results, counters,
-  /// and delivery order are bit-identical between formats.
-  MessageFormat Format = MessageFormat::Packed;
   /// Collect RunStats::Steps (per-superstep trace, per-worker metrics).
   /// A handful of clock reads and one small record per superstep; on by
   /// default so every run is observable.
   bool CollectMetrics = true;
-  /// When non-null, the engine reports runtime conditions here — currently
-  /// a warning when the MaxSupersteps runaway guard halts a program that
-  /// did not converge.
+  /// When non-null, the engine reports runtime conditions here: a warning
+  /// when the MaxSupersteps runaway guard halts a program that did not
+  /// converge, and a "message layout drift" error for each worker whose
+  /// program sent a message its declared MessageLayout does not describe.
   DiagnosticEngine *Diags = nullptr;
   /// Execution backend for compiled programs (see ExecBackend). Results are
   /// bit-identical across backends; only hot-path cost changes.
@@ -161,21 +142,10 @@ struct Config {
   /// numNodes / this. Ligra-style default of 8 (sparse only when well under
   /// an eighth of the graph fronts the step).
   uint32_t ScheduleSparseDivisor = 8;
-  /// Static schedule advice consulted under ScheduleMode::Auto (see
-  /// ScheduleHint). Backends fill this from the compiled program's
-  /// frontier-shape classification.
-  ScheduleHint Hint = ScheduleHint::None;
   /// Pregel message combiners: messages of a listed type heading to the
   /// same destination are reduced at the sending worker before they hit
   /// the wire (single-field payloads only). Empty = no combining.
   std::map<int32_t, ReduceKind> Combiners;
-  /// When non-null on a boxed sequential run, every delivered message's
-  /// schema (tag, payload arity, slot kinds) is cross-checked against this
-  /// declared layout; the first drift is reported through Diags as a
-  /// "message layout drift" error. Ignored on threaded runs. This is how
-  /// checkDeclaredMessageLayout catches a hand-written messageLayout()
-  /// override that no longer matches what the program actually sends.
-  const MessageLayout *ValidateLayout = nullptr;
 };
 
 /// The master's view during `master.compute()`. Runs before the vertices in
@@ -235,19 +205,17 @@ public:
   std::span<const NodeId> outNeighbors() const { return G.outNeighbors(Id); }
 
   /// Messages sent to this vertex in the previous superstep — a cursor over
-  /// the engine's inbox (packed records or boxed structs; see Message.h).
-  MsgRange messages() const {
-    if (Layout)
-      return MsgRange(PackedInbox, InboxN, Layout);
-    return MsgRange(Inbox);
-  }
+  /// the engine's inbox of packed records (see Message.h).
+  MsgRange messages() const { return MsgRange(Inbox, InboxN, Layout); }
 
   /// Sends \p M to every out-neighbor (GPS sendToNbrs). The payload is
-  /// encoded once; only the destination header varies per neighbor.
+  /// encoded once; only the destination header varies per neighbor. A
+  /// message that does not match the program's MessageLayout is dropped and
+  /// reported as layout drift (see Config::Diags).
   void sendToAllOutNeighbors(const Message &M);
 
   /// Sends \p M to an arbitrary vertex id (GPS sendToNode); implements the
-  /// Random Writing pattern of §3.1.
+  /// Random Writing pattern of §3.1. Drift is handled as above.
   void sendTo(NodeId Target, const Message &M);
 
   /// Vertex-side reducing write to a global object (Global.put with a
@@ -275,28 +243,28 @@ private:
   const Graph &G;
   const GlobalObjects &Globals;
   GlobalObjects &WorkerGlobals;
-  std::span<const Message> Inbox;
-  /// The owning worker's destination-sharded outbox: NumWorkers vectors,
-  /// Shards[w] holding the messages bound for worker w's vertices. Sharding
-  /// at send time is what lets combining, wire accounting, and inbox
-  /// construction all run worker-parallel at the barrier. Exactly one of
-  /// the boxed (Inbox/Shards) and packed (PackedInbox/PackedShards/Layout)
-  /// field sets is wired up per run.
-  std::vector<Message> *Shards = nullptr;
-  const std::byte *PackedInbox = nullptr;
+
+  /// Packs \p M into \p Rec; on a schema mismatch records the worker's
+  /// first drift in *Drift and returns false.
+  bool pack(std::byte *Rec, NodeId Dst, const Message &M);
+
+  const std::byte *Inbox = nullptr;
   size_t InboxN = 0;
-  std::vector<std::byte> *PackedShards = nullptr;
-  /// Source ids parallel to PackedShards (one per record): the delivery
-  /// phase merges shards into canonical ascending-source order, and packed
-  /// records don't carry the sender on the wire.
-  std::vector<NodeId> *ShardSrcs = nullptr;
+  /// The owning worker's destination-sharded outbox: NumWorkers byte
+  /// vectors, Outbox[w] holding the records bound for worker w's vertices.
+  /// Sharding at send time is what lets combining, wire accounting, and
+  /// inbox construction all run worker-parallel at the barrier.
+  std::vector<std::byte> *Outbox = nullptr;
+  /// Source ids parallel to Outbox (one per record): the delivery phase
+  /// merges shards into canonical ascending-source order, and records don't
+  /// carry the sender on the wire.
+  std::vector<NodeId> *OutboxSrcs = nullptr;
   /// LALP broadcast channel: one record per (high-degree source, worker),
-  /// expanded via the mirror lists at the receiver. Boxed runs use
-  /// BcastBoxed instead of BcastShards/BcastSrcs.
+  /// expanded via the mirror lists at the receiver.
   std::vector<std::byte> *BcastShards = nullptr;
   std::vector<NodeId> *BcastSrcs = nullptr;
-  std::vector<Message> *BcastBoxed = nullptr;
   const MessageLayout *Layout = nullptr;
+  std::string *Drift = nullptr; ///< the worker's first layout drift
   const Partition *Part = nullptr;
   const LalpPlan *Lalp = nullptr; ///< null when LALP is off
   unsigned NumWorkers = 0;
@@ -322,11 +290,10 @@ public:
   /// vertex.
   virtual void compute(VertexContext &Ctx) = 0;
 
-  /// The program's message wire schema (see MessageLayout.h). Programs with
-  /// statically known message shapes override this so the engine can run
-  /// packed mailboxes; the default (empty layout) keeps boxed mailboxes,
-  /// which is always correct, just slower.
-  virtual MessageLayout messageLayout() const { return MessageLayout(); }
+  /// The program's message wire schema (see MessageLayout.h): every message
+  /// the program sends must match one of its types. A program that sends
+  /// nothing returns an empty layout.
+  virtual MessageLayout messageLayout() const = 0;
 };
 
 /// Executes a VertexProgram over a graph under BSP semantics.
@@ -380,9 +347,8 @@ private:
   /// Timing/tracing wrapper around deliverPhaseImpl (the actual merge).
   void deliverPhase(unsigned WorkerId, SuperstepMetrics *SM);
   void deliverPhaseImpl(unsigned WorkerId, SuperstepMetrics *SM);
-  void combineShard(WorkerState &WS, std::vector<Message> &Shard);
-  void combineShardPacked(WorkerState &WS, std::vector<std::byte> &Shard,
-                          std::vector<NodeId> &Srcs);
+  void combineOutbox(WorkerState &WS, std::vector<std::byte> &Shard,
+                     std::vector<NodeId> &Srcs);
   /// Messages currently parked in Workers[Sender]'s shard for \p Dst
   /// (normal channel; LALP broadcast records are tallied separately).
   size_t shardCount(unsigned Sender, unsigned Dst) const;
@@ -400,15 +366,12 @@ private:
   std::vector<WorkerState> Workers;
   std::unique_ptr<ThreadPool> Pool; ///< created on first threaded run()
 
-  /// Double-buffered inboxes in worker-major layout: each worker's inbound
-  /// messages occupy one contiguous region of the inbox pool (region base =
-  /// WorkerState::RegionStart), grouped by destination vertex inside it.
-  /// The range delivered to v this superstep starts at record index
-  /// InboxOffset[v] and holds InboxCount[v] messages. Offsets and counts
-  /// are in *message* units in both formats; the packed pool scales by the
-  /// record size on access. Exactly one pool is populated per run.
-  std::vector<Message> InboxPool;
-  std::vector<std::byte> PackedInboxPool;
+  /// The inbox in worker-major layout: each worker's inbound records occupy
+  /// one contiguous region (region base = WorkerState::RegionStart),
+  /// grouped by destination vertex inside it. The range delivered to v this
+  /// superstep starts at record index InboxOffset[v] and holds
+  /// InboxCount[v] records; offsets scale by the record size on access.
+  std::vector<std::byte> Inbox;
   std::vector<uint32_t> InboxOffset; ///< size numNodes; begin per vertex
   std::vector<uint32_t> InboxCount;  ///< size numNodes; messages per vertex
   std::vector<uint32_t> Cursor;      ///< scatter cursors (per vertex)
@@ -429,32 +392,26 @@ private:
   /// sparse path for a step whose frontier estimate is \p Estimate.
   bool decideSparse(uint64_t Estimate) const;
 
-  /// Packed-format run state, derived once per run() from the program's
-  /// MessageLayout (empty layout or Config::Format == Boxed => boxed path).
+  /// Mailbox run state, derived once per run() from the program's
+  /// MessageLayout.
   MessageLayout Layout;
-  bool UsePacked = false;
   uint32_t RecordBytes = 0; ///< Layout.recordSize(), hoisted
-  /// Per-tag wire bytes per message (the hoisted wireSize constant),
-  /// indexed by tag; 0 for undeclared tags.
+  /// Per-tag wire bytes per message (Layout.wireBytes, hoisted), indexed by
+  /// tag; 0 for undeclared tags.
   std::vector<uint32_t> WireBytesByTag;
   /// Per-tag combiner plumbing: CombineOrd[tag] is the dense-combine table
   /// ordinal (-1 = tag not combinable), CombineOpByTag[tag] the operator.
   std::vector<int32_t> CombineOrd;
   std::vector<ReduceKind> CombineOpByTag;
   unsigned NumCombinable = 0;
-
-  /// First Config::ValidateLayout mismatch seen this run ("" = none);
-  /// reported through Config::Diags when the run ends.
-  std::string LayoutCheckError;
 };
 
 /// Registration-time guard for hand-declared message layouts: runs
-/// \p Program once over \p G in boxed sequential mode while cross-checking
-/// the schema of every message it actually sends against its declared
-/// messageLayout(). Returns the first drift found, or "" when the layout is
-/// faithful (or the program declares none). A drifted layout would corrupt
-/// packed mailboxes — call this from tests/CI whenever a manual program's
-/// layout override changes.
+/// \p Program once over \p G and returns the first layout drift the send
+/// path reported (the lowest worker's), or "" when every message the
+/// program sent matched its declared messageLayout(). Drifted messages are
+/// dropped, so call this from tests/CI whenever a manual program's layout
+/// override changes.
 std::string checkDeclaredMessageLayout(VertexProgram &Program, const Graph &G,
                                        Config Cfg = {});
 

@@ -649,15 +649,6 @@ private:
     line("unsigned tagCount() const override { return " +
          std::to_string(Tags) + "; }");
     line();
-    if (P.ScheduleHint != ScheduleClass::None) {
-      const char *Hint = P.ScheduleHint == ScheduleClass::Dense
-                             ? "Dense"
-                             : "Sparse";
-      line("pregel::ScheduleHint scheduleHint() const override {");
-      line("  return pregel::ScheduleHint::" + std::string(Hint) + ";");
-      line("}");
-      line();
-    }
     messageLayoutFn();
     line();
     initFn();

@@ -10,18 +10,6 @@
 using namespace gm;
 using namespace gm::pir;
 
-const char *pir::scheduleClassName(ScheduleClass C) {
-  switch (C) {
-  case ScheduleClass::None:
-    return "none";
-  case ScheduleClass::Dense:
-    return "dense";
-  case ScheduleClass::Sparse:
-    return "sparse";
-  }
-  gm_unreachable("invalid schedule class");
-}
-
 PExpr *PregelProgram::constExpr(Value V) {
   PExpr *E = newExpr();
   E->K = PExprKind::Const;

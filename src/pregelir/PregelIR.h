@@ -123,19 +123,6 @@ struct MStmt {
 // Program
 //===----------------------------------------------------------------------===//
 
-/// Static schedule advice derived by frontier-shape analysis
-/// (analysis/DataFlow.h) and consumed by the runtime when `--schedule auto`
-/// is active. None means "no static opinion — keep the runtime heuristic".
-enum class ScheduleClass : uint8_t {
-  None,  ///< mixed shapes; let the runtime estimate per superstep
-  Dense, ///< every vertex state floods all vertices; frontier bookkeeping
-         ///< can never pay off
-  Sparse ///< every vertex state only activates message receivers; the
-         ///< active set is exactly the frontier
-};
-
-const char *scheduleClassName(ScheduleClass C);
-
 struct PropDef {
   std::string Name;
   ValueKind Ty = ValueKind::Int;
@@ -193,9 +180,6 @@ public:
   bool UsesInNbrs = false;
   /// Name of the global holding the procedure's return value ("" = void).
   std::string ReturnGlobal;
-  /// Frontier-shape classification (analysis/DataFlow.h); the runtime's
-  /// default when `--schedule auto` is active.
-  ScheduleClass ScheduleHint = ScheduleClass::None;
 
   PExpr *newExpr() {
     Exprs.push_back(std::make_unique<PExpr>());

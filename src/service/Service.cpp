@@ -70,7 +70,7 @@ struct JobSpec {
   std::string Source;       ///< Green-Marl source text
   std::string ProgramLabel; ///< source path or "<inline>" (display)
   std::vector<std::pair<std::string, json::Node>> Args;
-  pregel::Config Cfg;  ///< engine knobs (Diags/Hint filled per run)
+  pregel::Config Cfg;  ///< engine knobs (Diags filled per run)
   uint64_t Seed = 1;
   bool Trace = false;  ///< record a per-job runtime trace session
 };
@@ -119,14 +119,6 @@ JobSpec parseJobSpec(const json::Node &Req, const ServiceConfig &Limits) {
     if (!N->isBool())
       throw ServiceError("\"threaded\" must be a bool");
     Cfg.Threaded = N->B;
-  }
-  if (const json::Node *N = Req.find("message_format")) {
-    if (N->S == "packed")
-      Cfg.Format = pregel::MessageFormat::Packed;
-    else if (N->S == "boxed")
-      Cfg.Format = pregel::MessageFormat::Boxed;
-    else
-      throw ServiceError("\"message_format\" must be packed or boxed");
   }
   if (const json::Node *N = Req.find("partition")) {
     auto S = pregel::parsePartitionStrategy(N->S);
@@ -191,8 +183,6 @@ std::string cacheKey(const std::string &Fingerprint,
   Key += "|graph:" + GI.Name + "@" + std::to_string(GI.Epoch);
   Key += "|w:" + std::to_string(Cfg.NumWorkers);
   Key += Cfg.Threaded ? "|threaded" : "|seq";
-  Key += std::string("|fmt:") +
-         (Cfg.Format == pregel::MessageFormat::Packed ? "packed" : "boxed");
   Key += std::string("|part:") + pregel::partitionStrategyName(Cfg.Partition);
   Key += "|lalp:" + std::to_string(Cfg.LalpThreshold);
   Key += std::string("|sched:") + pregel::scheduleModeName(Cfg.Schedule);
@@ -221,6 +211,12 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
   CompileResult R = compileGreenMarl(Spec.Source, Opts);
   if (!R.ok())
     throw ServiceError("compilation failed: " + R.Diags->dump());
+  // Submits carry scalar arguments only, so an edge-property column could
+  // never be supplied.
+  if (!R.Program->EdgeProps.empty())
+    throw ServiceError("program declares edge property \"" +
+                       R.Program->EdgeProps.front().Name +
+                       "\", but submits carry scalar arguments only");
 
   // Coerce the JSON argument values against the program's declared scalar
   // types, exactly like gmpc --arg parsing.
@@ -238,6 +234,12 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
     else
       TypedArgs.emplace_back(Name, Value::makeInt(V.asInt()));
   }
+  // An unset scalar parameter would reach the engine as an undef value.
+  for (const pir::GlobalDef &D : R.Program->Globals) {
+    auto Named = [&](const auto &A) { return A.first == D.Name; };
+    if (D.Param && std::none_of(TypedArgs.begin(), TypedArgs.end(), Named))
+      throw ServiceError("missing scalar argument \"" + D.Name + "\"");
+  }
 
   const std::string Fingerprint = pir::programFingerprint(*R.Program);
   const std::string Key =
@@ -248,13 +250,8 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
   }
 
   const Graph &G = *RG.G;
-  // What actually hits the mailboxes: the packed record when the program
-  // has a layout, the boxed Message otherwise.
-  pregel::MessageLayout Layout;
-  if (Spec.Cfg.Format == pregel::MessageFormat::Packed)
-    Layout = pir::deriveMessageLayout(*R.Program);
   const unsigned RecordBytes =
-      Layout.empty() ? unsigned(sizeof(pregel::Message)) : Layout.recordSize();
+      pir::deriveMessageLayout(*R.Program).recordSize();
   if (JobMailboxBudgetBytes) {
     // Worst case: one message per edge, double-buffered across the
     // send/deliver superstep boundary.
@@ -288,7 +285,7 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
   Meta.Workers = Cfg.NumWorkers;
   Meta.Threaded = Cfg.Threaded;
   Meta.Seed = Spec.Seed;
-  Meta.MessageFormat = Layout.empty() ? "boxed" : "packed";
+  Meta.MessageFormat = "packed";
   Meta.MailboxRecordBytes = RecordBytes;
   Meta.Partition = pregel::partitionStrategyName(Cfg.Partition);
   Meta.LalpThreshold = Cfg.LalpThreshold;

@@ -123,6 +123,17 @@ TEST(Cli, RejectsUnknownScalarArgument) {
   EXPECT_NE(R.Output.find("no scalar argument"), std::string::npos);
 }
 
+TEST(Cli, MessageFormatFlagIsGone) {
+  // Packed records are the engine's only mailbox format.
+  CliResult R = runGmpc(algo("pagerank.gm") +
+                        " --run --graph-rmat 200 800 --message-format boxed"
+                        " --arg e=0.0 --arg d=0.85 --arg max_iter=2");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Output.find("unknown option --message-format"),
+            std::string::npos)
+      << R.Output;
+}
+
 //===----------------------------------------------------------------------===//
 // Observability flags (--stats / --trace / --stats-json).
 //===----------------------------------------------------------------------===//

@@ -151,7 +151,7 @@ TEST(CppCodegen, RegistryProgramDerivesTheSameMessageLayout) {
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence harness (mirrors PackedMessageTest)
+// Equivalence harness
 //===----------------------------------------------------------------------===//
 
 void expectSameCounters(const RunStats &A, const RunStats &B,
@@ -237,24 +237,20 @@ TEST_P(BackendSweep, PaperAlgorithmsBitIdenticalToInterpreter) {
     CompileResult Compiled = compileAlgorithm(C.Name);
     ASSERT_TRUE(Compiled.ok()) << Compiled.Diags->dump();
 
-    for (size_t SI = 0; SI < std::size(Strategies); ++SI) {
+    for (PartitionStrategy S : Strategies) {
       for (bool Threaded : {false, true}) {
         DiagnosticEngine Diags;
         Config Cfg;
         Cfg.NumWorkers = W;
         Cfg.Threaded = Threaded;
-        Cfg.Partition = Strategies[SI];
-        // Both wire formats get coverage across the strategy sweep without
-        // doubling the matrix; each interp/native pair shares one format.
-        Cfg.Format =
-            (SI % 2) ? MessageFormat::Boxed : MessageFormat::Packed;
+        Cfg.Partition = S;
         Cfg.Combiners = inferCombinerTags(*Compiled.Program,
                                           exec::IRExecutor::MsgTagOffset);
         Cfg.Diags = &Diags;
 
         std::string What = std::string(C.Name) + " W=" + std::to_string(W) +
                            " partition=" +
-                           partitionStrategyName(Strategies[SI]) +
+                           partitionStrategyName(S) +
                            (Threaded ? " threaded" : " sequential");
 
         std::unique_ptr<exec::IRExecutor> Interp;

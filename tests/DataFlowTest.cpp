@@ -5,14 +5,14 @@
 ///
 ///  1. Framework facts on hand-built IR: slot liveness, message-field
 ///     liveness, SCCP global/slot lattices, reachability and the frontier
-///     shape / schedule hint.
+///     shape of each state.
 ///  2. Pass correctness on hand-built IR: dead-slot elimination compacts
 ///     and reindexes, message-field pruning shrinks the wire schema,
 ///     constant folding substitutes and elides — each leaving the program
 ///     strictly verifiable.
 ///  3. The contract that justifies running them by default: the six paper
 ///     algorithms are bit-identical with the passes on vs off, across
-///     worker counts x seq/threaded x packed/boxed x interp/native.
+///     worker counts x seq/threaded x interp/native.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -162,22 +162,19 @@ TEST(DataFlowFacts, ReachabilityAndHaltPaths) {
   EXPECT_TRUE(DF.ReachesEnd[2]);
 }
 
-TEST(DataFlowFacts, FrontierShapesAndHint) {
+TEST(DataFlowFacts, FrontierShapes) {
   auto P = buildFixture();
   DataFlowInfo DF = analyzeDataFlow(*P);
   EXPECT_EQ(DF.Shapes[0], StateShape::MasterOnly) << "entry has no vertex code";
   EXPECT_EQ(DF.Shapes[1], StateShape::Flood) << "unguarded send";
   // 'recv' also carries an unguarded plain assignment (scratch = acc), so
-  // it floods too; the whole program is dense-shaped.
+  // it floods too.
   EXPECT_EQ(DF.Shapes[2], StateShape::Flood);
-  EXPECT_EQ(DF.Hint, ScheduleClass::Dense);
 
-  // Removing the unguarded copy turns 'recv' receiver-only; a mix of flood
-  // and receiver-only states gives no overall hint.
+  // Removing the unguarded copy turns 'recv' receiver-only.
   P->States[2].VertexCode.pop_back();
   DataFlowInfo DF2 = analyzeDataFlow(*P);
   EXPECT_EQ(DF2.Shapes[2], StateShape::ReceiverOnly);
-  EXPECT_EQ(DF2.Hint, ScheduleClass::None);
 }
 
 TEST(DataFlowFacts, RenderMentionsEveryTable) {
@@ -185,7 +182,7 @@ TEST(DataFlowFacts, RenderMentionsEveryTable) {
   DataFlowInfo DF = analyzeDataFlow(*P);
   std::string Out = renderDataFlow(*P, DF);
   for (const char *Needle :
-       {"acc", "scratch", "junk", "schedule hint", "dense"})
+       {"acc", "scratch", "junk", "shape=flood", "shape=master-only"})
     EXPECT_NE(Out.find(Needle), std::string::npos) << "missing: " << Needle;
 }
 
@@ -368,12 +365,10 @@ TEST_P(DataFlowEquivalence, PaperAlgorithmsBitIdenticalOnVsOff) {
     ASSERT_TRUE(On.ok()) << On.Diags->dump();
     ASSERT_TRUE(Off.ok()) << Off.Diags->dump();
 
-    auto Run = [&](CompileResult &R, bool Threaded, pregel::MessageFormat F,
-                   pregel::ExecBackend B) {
+    auto Run = [&](CompileResult &R, bool Threaded, pregel::ExecBackend B) {
       pregel::Config Cfg;
       Cfg.NumWorkers = W;
       Cfg.Threaded = Threaded;
-      Cfg.Format = F;
       Cfg.Backend = B;
       Cfg.Combiners =
           inferCombinerTags(*R.Program, exec::IRExecutor::MsgTagOffset);
@@ -383,47 +378,44 @@ TEST_P(DataFlowEquivalence, PaperAlgorithmsBitIdenticalOnVsOff) {
     };
 
     for (bool Threaded : {false, true})
-      for (pregel::MessageFormat F :
-           {pregel::MessageFormat::Packed, pregel::MessageFormat::Boxed})
-        for (pregel::ExecBackend B :
-             {pregel::ExecBackend::Interp, pregel::ExecBackend::Native}) {
-          std::string What =
-              std::string(C.Name) + " W=" + std::to_string(W) +
-              (Threaded ? " threaded" : " sequential") +
-              (F == pregel::MessageFormat::Packed ? " packed" : " boxed") +
-              (B == pregel::ExecBackend::Interp ? " interp" : " native");
-          exec::BackendRun A = Run(On, Threaded, F, B);
-          // The registry holds only default-pipeline programs, so the off
-          // leg always runs the interpreter — which is the point: the
-          // optimized program (native or interp) must match the
-          // unoptimized interpreter bit for bit.
-          exec::BackendRun Bx = Run(Off, Threaded, F, B);
-          if (B == pregel::ExecBackend::Native)
-            EXPECT_EQ(A.Used, exec::BackendKind::NativeRegistry) << What;
+      for (pregel::ExecBackend B :
+           {pregel::ExecBackend::Interp, pregel::ExecBackend::Native}) {
+        std::string What =
+            std::string(C.Name) + " W=" + std::to_string(W) +
+            (Threaded ? " threaded" : " sequential") +
+            (B == pregel::ExecBackend::Interp ? " interp" : " native");
+        exec::BackendRun A = Run(On, Threaded, B);
+        // The registry holds only default-pipeline programs, so the off
+        // leg always runs the interpreter — which is the point: the
+        // optimized program (native or interp) must match the
+        // unoptimized interpreter bit for bit.
+        exec::BackendRun Bx = Run(Off, Threaded, B);
+        if (B == pregel::ExecBackend::Native)
+          EXPECT_EQ(A.Used, exec::BackendKind::NativeRegistry) << What;
 
-          EXPECT_EQ(A.Stats.Supersteps, Bx.Stats.Supersteps) << What;
-          EXPECT_EQ(A.Stats.TotalMessages, Bx.Stats.TotalMessages) << What;
-          EXPECT_EQ(A.Stats.NetworkMessages, Bx.Stats.NetworkMessages)
-              << What;
-          EXPECT_EQ(A.Stats.NetworkBytes, Bx.Stats.NetworkBytes) << What;
-          EXPECT_EQ(A.Stats.Halt, Bx.Stats.Halt) << What;
-          if (C.ResultProp) {
-            for (NodeId N = 0; N < G.numNodes(); ++N) {
-              Value Va = A.nodeValue(C.ResultProp, N);
-              Value Vb = Bx.nodeValue(C.ResultProp, N);
-              ASSERT_TRUE(Va == Vb)
-                  << What << " " << C.ResultProp << "[" << N
-                  << "]: " << Va.toString() << " vs " << Vb.toString();
-            }
+        EXPECT_EQ(A.Stats.Supersteps, Bx.Stats.Supersteps) << What;
+        EXPECT_EQ(A.Stats.TotalMessages, Bx.Stats.TotalMessages) << What;
+        EXPECT_EQ(A.Stats.NetworkMessages, Bx.Stats.NetworkMessages)
+            << What;
+        EXPECT_EQ(A.Stats.NetworkBytes, Bx.Stats.NetworkBytes) << What;
+        EXPECT_EQ(A.Stats.Halt, Bx.Stats.Halt) << What;
+        if (C.ResultProp) {
+          for (NodeId N = 0; N < G.numNodes(); ++N) {
+            Value Va = A.nodeValue(C.ResultProp, N);
+            Value Vb = Bx.nodeValue(C.ResultProp, N);
+            ASSERT_TRUE(Va == Vb)
+                << What << " " << C.ResultProp << "[" << N
+                << "]: " << Va.toString() << " vs " << Vb.toString();
           }
-          ASSERT_EQ(A.returnValue().has_value(),
-                    Bx.returnValue().has_value())
-              << What;
-          if (A.returnValue())
-            EXPECT_TRUE(*A.returnValue() == *Bx.returnValue())
-                << What << ": " << A.returnValue()->toString() << " vs "
-                << Bx.returnValue()->toString();
         }
+        ASSERT_EQ(A.returnValue().has_value(),
+                  Bx.returnValue().has_value())
+            << What;
+        if (A.returnValue())
+          EXPECT_TRUE(*A.returnValue() == *Bx.returnValue())
+              << What << ": " << A.returnValue()->toString() << " vs "
+              << Bx.returnValue()->toString();
+      }
   }
 }
 

@@ -258,8 +258,8 @@ INSTANTIATE_TEST_SUITE_P(Workers, ManualWorkerSweep,
 
 //===----------------------------------------------------------------------===//
 // Declared message layouts: every hand-written messageLayout() must match
-// what the program actually sends (pregel::checkDeclaredMessageLayout replays
-// the run boxed and cross-checks each message against the declared schema).
+// what the program actually sends (pregel::checkDeclaredMessageLayout runs
+// the program and returns the drift its send path reported).
 //===----------------------------------------------------------------------===//
 
 TEST(ManualLayouts, AllManualProgramsMatchTheirDeclaredLayout) {
@@ -345,6 +345,31 @@ TEST(ManualLayouts, DriftedLayoutIsReported) {
     EXPECT_NE(Err.find("carries 1 payload slot(s) but the layout declares 0"),
               std::string::npos)
         << Err;
+  }
+}
+
+TEST(ManualLayouts, DriftedLayoutIsReportedOnThreadedRuns) {
+  // The check sits on the send path, so real worker threads report drift
+  // exactly like the sequential simulation.
+  Graph G = generateRing(16);
+  Config Cfg;
+  Cfg.NumWorkers = 4;
+  Cfg.Threaded = true;
+  {
+    drifted::WrongSlotKind P(0.85, 0.0, 2);
+    EXPECT_EQ(pregel::checkDeclaredMessageLayout(P, G, Cfg),
+              "message tag 0 payload slot 0 has kind 'double' but the layout "
+              "declares 'int'");
+  }
+  {
+    drifted::WrongArity P(0.85, 0.0, 2);
+    EXPECT_EQ(pregel::checkDeclaredMessageLayout(P, G, Cfg),
+              "message tag 0 carries 1 payload slot(s) but the layout "
+              "declares 0");
+  }
+  {
+    PageRankProgram P(0.85, 0.0, 2);
+    EXPECT_EQ(pregel::checkDeclaredMessageLayout(P, G, Cfg), "");
   }
 }
 

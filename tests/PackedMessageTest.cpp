@@ -1,25 +1,20 @@
-//===- tests/PackedMessageTest.cpp - Packed == boxed, bit for bit -----------===//
+//===- tests/PackedMessageTest.cpp - Packed message records ----------------===//
 ///
-/// The packed wire format's contract: switching Config::Format between
-/// Boxed and Packed changes how bytes move through the mailboxes, not what
-/// any program computes or what any counter reports. This suite pins the
-/// MessageLayout derivation itself, the packed record encoding, and then
-/// packed/boxed equivalence — vertex results, message counts, and
-/// network-byte totals — for hand-written programs and for all six
-/// compiler-generated paper algorithms at worker counts 1/3/8.
+/// The engine's one mailbox format: this suite pins the MessageLayout
+/// derivation, the packed record encoding and its send-time schema check,
+/// and the MsgRef cursor. What the engine computes on top of it is checked
+/// against the reference implementations (EndToEndTest, CombinerTest) and
+/// across worker counts, partitions and modes (the Threaded, Partitioning
+/// and Schedule suites).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "algorithms/manual/ManualPrograms.h"
 #include "driver/Compiler.h"
-#include "exec/IRExecutor.h"
 #include "graph/Generators.h"
-#include "opt/Optimizer.h"
 #include "pregel/Runtime.h"
+#include "support/Diagnostics.h"
 
 #include <gtest/gtest.h>
-
-#include <random>
 
 namespace {
 
@@ -91,6 +86,38 @@ TEST(MessageLayout, PackRoundTripsThroughMsgRef) {
   EXPECT_TRUE(R[2] == Value::makeBool(true));
 }
 
+TEST(MessageLayout, PackRejectsWhatTheLayoutDoesNotDeclare) {
+  MessageLayout L;
+  L.addType(0, {ValueKind::Double});
+  std::array<std::byte, MaxPackedRecordBytes> Rec{};
+
+  Message Undeclared;
+  Undeclared.Type = 3;
+  Undeclared.push(Value::makeDouble(1.0));
+  EXPECT_FALSE(packMessage(L, Rec.data(), 0, Undeclared));
+  EXPECT_EQ(schemaMismatch(L, Undeclared),
+            "message tag 3 is not declared in the message layout");
+
+  Message Arity;
+  Arity.push(Value::makeDouble(1.0));
+  Arity.push(Value::makeDouble(2.0));
+  EXPECT_FALSE(packMessage(L, Rec.data(), 0, Arity));
+  EXPECT_EQ(schemaMismatch(L, Arity),
+            "message tag 0 carries 2 payload slot(s) but the layout "
+            "declares 1");
+
+  Message Kind;
+  Kind.push(Value::makeInt(1));
+  EXPECT_FALSE(packMessage(L, Rec.data(), 0, Kind));
+  EXPECT_EQ(schemaMismatch(L, Kind), "message tag 0 payload slot 0 has kind "
+                                     "'int' but the layout declares 'double'");
+
+  Message Fits;
+  Fits.push(Value::makeDouble(1.0));
+  EXPECT_TRUE(packMessage(L, Rec.data(), 0, Fits));
+  EXPECT_EQ(schemaMismatch(L, Fits), "");
+}
+
 TEST(MessageLayout, DerivedFromIRCoversSetupAndMsgTypes) {
   // avg_teen's in-neighbor Count is flipped to out-edge pushes by the
   // canonicalizer, so it derives a single untagged empty-payload type.
@@ -123,236 +150,44 @@ TEST(MessageLayout, DerivedFromIRCoversSetupAndMsgTypes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Equivalence harness
+// Send-time layout check
 //===----------------------------------------------------------------------===//
 
-void expectSameCounters(const RunStats &A, const RunStats &B,
-                        const std::string &What) {
-  EXPECT_EQ(A.Supersteps, B.Supersteps) << What;
-  EXPECT_EQ(A.TotalMessages, B.TotalMessages) << What;
-  EXPECT_EQ(A.NetworkMessages, B.NetworkMessages) << What;
-  EXPECT_EQ(A.NetworkBytes, B.NetworkBytes) << What;
-  EXPECT_EQ(A.MessagesPerStep, B.MessagesPerStep) << What;
-  EXPECT_EQ(A.Halt, B.Halt) << What;
-}
-
-class FormatSweep : public ::testing::TestWithParam<unsigned> {};
-INSTANTIATE_TEST_SUITE_P(Workers, FormatSweep, ::testing::Values(1, 3, 8));
-
-//===----------------------------------------------------------------------===//
-// Hand-written programs
-//===----------------------------------------------------------------------===//
-
-TEST_P(FormatSweep, ManualPageRankMatchesBoxedBitForBit) {
-  Graph G = generateRMAT(1 << 9, 1 << 12, 21);
-  auto Run = [&](MessageFormat F, std::vector<double> &Out) {
-    manual::PageRankProgram P(0.85, 0.0, 6);
-    Config Cfg;
-    Cfg.NumWorkers = GetParam();
-    Cfg.Format = F;
-    RunStats Stats = Engine(G, Cfg).run(P);
-    Out = P.rank();
-    return Stats;
-  };
-  std::vector<double> Boxed, Packed;
-  RunStats BS = Run(MessageFormat::Boxed, Boxed);
-  RunStats PS = Run(MessageFormat::Packed, Packed);
-  expectSameCounters(BS, PS, "pagerank W=" + std::to_string(GetParam()));
-  // Bit-identical doubles: same inbox order implies the same FP summation
-  // association in both formats.
-  EXPECT_EQ(Boxed, Packed);
-}
-
-TEST_P(FormatSweep, ManualSSSPWithCombinerMatchesBoxed) {
-  Graph G = generateUniformRandom(600, 4000, 23);
-  std::mt19937_64 Rng(24);
-  std::uniform_int_distribution<int64_t> Dist(1, 9);
-  std::vector<int64_t> Len(G.numEdges());
-  for (auto &V : Len)
-    V = Dist(Rng);
-
-  auto Run = [&](MessageFormat F, std::vector<int64_t> &Out) {
-    manual::SSSPProgram P(0, Len);
-    Config Cfg;
-    Cfg.NumWorkers = GetParam();
-    Cfg.Format = F;
-    Cfg.Combiners[0] = ReduceKind::Min; // dense packed combine vs hash boxed
-    RunStats Stats = Engine(G, Cfg).run(P);
-    Out = P.distance();
-    return Stats;
-  };
-  std::vector<int64_t> Boxed, Packed;
-  RunStats BS = Run(MessageFormat::Boxed, Boxed);
-  RunStats PS = Run(MessageFormat::Packed, Packed);
-  expectSameCounters(BS, PS, "sssp W=" + std::to_string(GetParam()));
-  EXPECT_EQ(Boxed, Packed);
-}
-
-TEST_P(FormatSweep, ManualBipartiteTagsRouteIdentically) {
-  // Three message types: packed records store a tag; accounting must still
-  // match the boxed run exactly (this program runs untagged accounting).
-  NodeId Left = 200;
-  Graph G = generateBipartite(Left, 230, 1600, 25);
-  std::vector<uint8_t> IsLeft(G.numNodes());
-  for (NodeId N = 0; N < G.numNodes(); ++N)
-    IsLeft[N] = N < Left;
-
-  auto Run = [&](MessageFormat F, std::vector<NodeId> &Out) {
-    manual::BipartiteMatchingProgram P(IsLeft);
-    Config Cfg;
-    Cfg.NumWorkers = GetParam();
-    Cfg.Format = F;
-    RunStats Stats = Engine(G, Cfg).run(P);
-    Out = P.match();
-    return Stats;
-  };
-  std::vector<NodeId> Boxed, Packed;
-  RunStats BS = Run(MessageFormat::Boxed, Boxed);
-  RunStats PS = Run(MessageFormat::Packed, Packed);
-  expectSameCounters(BS, PS, "bipartite W=" + std::to_string(GetParam()));
-  EXPECT_EQ(Boxed, Packed);
-}
-
-TEST(PackedMessage, ProgramsWithoutLayoutFallBackToBoxed) {
-  // An ad-hoc program that declares no layout must run (on the boxed path)
-  // even when the config asks for packed.
-  class AdHoc : public VertexProgram {
+TEST(PackedMessage, UndeclaredSendsAreDroppedAndReported) {
+  // A program whose (empty) layout declares nothing it sends: every send
+  // fails the send-time check, nothing reaches a mailbox, and each worker
+  // reports its first drift — sequential and threaded alike.
+  class Undeclared : public VertexProgram {
   public:
-    uint64_t Received = 0;
     void init(const Graph &, MasterContext &) override {}
     void masterCompute(MasterContext &Master) override {
       if (Master.superstep() >= 2)
         Master.haltAll();
     }
     void compute(VertexContext &Ctx) override {
-      Received += Ctx.messages().size();
       Message M;
       M.push(Value::makeInt(1));
       Ctx.sendToAllOutNeighbors(M);
+      Ctx.sendTo(0, M);
     }
+    MessageLayout messageLayout() const override { return MessageLayout(); }
   };
   Graph G = generateRMAT(1 << 8, 1 << 10, 27);
-  Config Cfg;
-  Cfg.NumWorkers = 3;
-  ASSERT_EQ(Cfg.Format, MessageFormat::Packed); // packed is the default
-  AdHoc P;
-  RunStats PS = Engine(G, Cfg).run(P);
-  Cfg.Format = MessageFormat::Boxed;
-  AdHoc B;
-  RunStats BS = Engine(G, Cfg).run(B);
-  expectSameCounters(BS, PS, "fallback");
-  EXPECT_EQ(B.Received, P.Received);
-}
-
-//===----------------------------------------------------------------------===//
-// All six paper algorithms, compiled: packed == boxed bit for bit,
-// sequential and threaded.
-//===----------------------------------------------------------------------===//
-
-exec::ExecArgs makeArgs(const std::string &Algo, const Graph &G,
-                        NodeId BipartiteLeft) {
-  exec::ExecArgs Args;
-  std::mt19937_64 Rng(4242);
-  if (Algo == "avg_teen") {
-    Args.Scalars["K"] = Value::makeInt(35);
-    std::vector<Value> Age(G.numNodes());
-    std::uniform_int_distribution<int64_t> Dist(5, 70);
-    for (auto &V : Age)
-      V = Value::makeInt(Dist(Rng));
-    Args.NodeProps["age"] = std::move(Age);
-  } else if (Algo == "pagerank") {
-    Args.Scalars["e"] = Value::makeDouble(0.0);
-    Args.Scalars["d"] = Value::makeDouble(0.85);
-    Args.Scalars["max_iter"] = Value::makeInt(6);
-  } else if (Algo == "conductance") {
-    Args.Scalars["num"] = Value::makeInt(0);
-    std::vector<Value> Member(G.numNodes());
-    for (NodeId N = 0; N < G.numNodes(); ++N)
-      Member[N] = Value::makeInt(N % 4);
-    Args.NodeProps["member"] = std::move(Member);
-  } else if (Algo == "sssp") {
-    Args.Scalars["root"] = Value::makeInt(0);
-    std::vector<Value> Len(G.numEdges());
-    std::uniform_int_distribution<int64_t> Dist(1, 10);
-    for (auto &V : Len)
-      V = Value::makeInt(Dist(Rng));
-    Args.EdgeProps["len"] = std::move(Len);
-  } else if (Algo == "bipartite_matching") {
-    std::vector<Value> IsLeft(G.numNodes());
-    for (NodeId N = 0; N < G.numNodes(); ++N)
-      IsLeft[N] = Value::makeBool(N < BipartiteLeft);
-    Args.NodeProps["is_left"] = std::move(IsLeft);
-  } else if (Algo == "bc_approx") {
-    Args.Scalars["K"] = Value::makeInt(2);
-  }
-  return Args;
-}
-
-struct AlgoCase {
-  const char *Name;
-  const char *ResultProp; ///< null: compare the return value only
-};
-
-TEST_P(FormatSweep, PaperAlgorithmsBitIdenticalAcrossFormats) {
-  const AlgoCase Cases[] = {
-      {"avg_teen", "teen_cnt"},  {"pagerank", "pg_rank"},
-      {"conductance", nullptr},  {"sssp", "dist"},
-      {"bipartite_matching", "match"}, {"bc_approx", "BC"},
-  };
-  const unsigned W = GetParam();
-
-  for (const AlgoCase &C : Cases) {
-    const bool Bipartite = std::string(C.Name) == "bipartite_matching";
-    NodeId BipartiteLeft = 1 << 8;
-    Graph G = Bipartite
-                  ? generateBipartite(BipartiteLeft, (1 << 8) + 100, 1 << 11, 5)
-                  : generateRMAT(1 << 9, 1 << 12, 5);
-
-    CompileResult Compiled = compileGreenMarlFile(
-        std::string(GM_ALGORITHMS_DIR) + "/" + C.Name + ".gm");
-    ASSERT_TRUE(Compiled.ok()) << Compiled.Diags->dump();
-
-    auto Run = [&](MessageFormat F, bool Threaded, RunStats &Stats) {
-      Config Cfg;
-      Cfg.NumWorkers = W;
-      Cfg.Threaded = Threaded;
-      Cfg.Format = F;
-      // Combiners on where the optimizer finds any, so the dense packed
-      // combine path is compared against the boxed hash combine too.
-      Cfg.Combiners =
-          inferCombinerTags(*Compiled.Program, exec::IRExecutor::MsgTagOffset);
-      std::unique_ptr<exec::IRExecutor> Exec;
-      Stats = exec::runProgram(*Compiled.Program, G,
-                               makeArgs(C.Name, G, BipartiteLeft), Cfg, &Exec);
-      return Exec;
-    };
-
-    for (bool Threaded : {false, true}) {
-      RunStats BoxedStats, PackedStats;
-      auto Boxed = Run(MessageFormat::Boxed, Threaded, BoxedStats);
-      auto Packed = Run(MessageFormat::Packed, Threaded, PackedStats);
-      std::string What = std::string(C.Name) + " W=" + std::to_string(W) +
-                         (Threaded ? " threaded" : " sequential");
-      expectSameCounters(BoxedStats, PackedStats, What);
-
-      if (C.ResultProp) {
-        for (NodeId N = 0; N < G.numNodes(); ++N) {
-          Value A = Boxed->nodeProp(C.ResultProp).get(N);
-          Value B = Packed->nodeProp(C.ResultProp).get(N);
-          ASSERT_TRUE(A == B) << What << " " << C.ResultProp << "[" << N
-                              << "]: " << A.toString() << " vs "
-                              << B.toString();
-        }
-      }
-      ASSERT_EQ(Boxed->returnValue().has_value(),
-                Packed->returnValue().has_value())
+  for (bool Threaded : {false, true}) {
+    DiagnosticEngine Diags;
+    Config Cfg;
+    Cfg.NumWorkers = 3;
+    Cfg.Threaded = Threaded;
+    Cfg.Diags = &Diags;
+    Undeclared P;
+    RunStats Stats = Engine(G, Cfg).run(P);
+    const std::string What = Threaded ? "threaded" : "sequential";
+    EXPECT_EQ(Stats.TotalMessages, 0u) << What;
+    ASSERT_EQ(Diags.diagnostics().size(), 3u) << What << ": " << Diags.dump();
+    for (const Diagnostic &D : Diags.diagnostics())
+      EXPECT_EQ(D.Message, "message layout drift: message tag 0 is not "
+                           "declared in the message layout")
           << What;
-      if (Boxed->returnValue()) {
-        EXPECT_TRUE(*Boxed->returnValue() == *Packed->returnValue())
-            << What << ": " << Boxed->returnValue()->toString() << " vs "
-            << Packed->returnValue()->toString();
-      }
-    }
   }
 }
 

@@ -12,11 +12,17 @@ using namespace gm;
 using namespace gm::pregel;
 
 /// A program skeleton with no-op hooks; tests override what they need.
+/// Every program here sends single-Int messages of type 0.
 class TestProgram : public VertexProgram {
 public:
   void init(const Graph &, MasterContext &) override {}
   void masterCompute(MasterContext &) override {}
   void compute(VertexContext &) override {}
+  MessageLayout messageLayout() const override {
+    MessageLayout L;
+    L.addType(0, {ValueKind::Int});
+    return L;
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -621,6 +627,11 @@ public:
     if (Ctx.id() == 0)
       for (pregel::MsgRef M : Ctx.messages())
         SeenAtZero.push_back(M.getInt(0));
+  }
+  MessageLayout messageLayout() const override {
+    MessageLayout L;
+    L.addType(0, {ValueKind::Int});
+    return L;
   }
 };
 

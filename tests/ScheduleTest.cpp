@@ -6,7 +6,7 @@
 /// what any counter reports. This suite pins auto and forced-sparse against
 /// forced-dense (the historical path) for the six compiler-generated paper
 /// algorithms across worker counts x partition strategies x seq/threaded x
-/// packed/boxed x interp/native, and for the hand-written programs whose
+/// interp/native, and for the hand-written programs whose
 /// voteToHalt behaviour actually drives the auto heuristic sparse. Configure
 /// with -DGM_SANITIZE=thread and the threaded legs run under TSan.
 ///
@@ -121,26 +121,22 @@ TEST_P(ScheduleSweep, ForcedDenseSSSPMatchesAuto) {
   // changes wall time, never the outcome.
   Graph G = generateUniformRandom(600, 4000, 23);
   std::vector<int64_t> Len = randomLens(G.numEdges(), 24);
-  auto Run = [&](ScheduleMode M, MessageFormat F, std::vector<int64_t> &Out) {
+  auto Run = [&](ScheduleMode M, std::vector<int64_t> &Out) {
     manual::SSSPVoteToHaltProgram P(0, Len);
     Config Cfg;
     Cfg.NumWorkers = GetParam();
     Cfg.Schedule = M;
-    Cfg.Format = F;
     Cfg.Combiners[0] = ReduceKind::Min;
     RunStats Stats = Engine(G, Cfg).run(P);
     Out = P.distance();
     return Stats;
   };
-  for (MessageFormat F : {MessageFormat::Packed, MessageFormat::Boxed}) {
-    std::vector<int64_t> Dense, Auto;
-    RunStats DS = Run(ScheduleMode::Dense, F, Dense);
-    RunStats AS = Run(ScheduleMode::Auto, F, Auto);
-    std::string What = "sssp-vth-combined W=" + std::to_string(GetParam()) +
-                       (F == MessageFormat::Packed ? " packed" : " boxed");
-    expectSameCounters(DS, AS, What);
-    EXPECT_EQ(Dense, Auto) << What;
-  }
+  std::vector<int64_t> Dense, Auto;
+  RunStats DS = Run(ScheduleMode::Dense, Dense);
+  RunStats AS = Run(ScheduleMode::Auto, Auto);
+  std::string What = "sssp-vth-combined W=" + std::to_string(GetParam());
+  expectSameCounters(DS, AS, What);
+  EXPECT_EQ(Dense, Auto) << What;
 }
 
 TEST(Schedule, ConductanceCrossStepRunsSparse) {
@@ -193,8 +189,7 @@ TEST(Schedule, ModeNamesRoundTrip) {
 
 //===----------------------------------------------------------------------===//
 // All six paper algorithms, compiled: auto == sparse == dense bit for bit
-// under every partition strategy x seq/threaded x packed/boxed x
-// interp/native.
+// under every partition strategy x seq/threaded x interp/native.
 //===----------------------------------------------------------------------===//
 
 exec::ExecArgs makeArgs(const std::string &Algo, const Graph &G,
@@ -264,12 +259,11 @@ TEST_P(ScheduleSweep, PaperAlgorithmsBitIdenticalAcrossSchedules) {
     ASSERT_TRUE(Compiled.ok()) << Compiled.Diags->dump();
 
     auto Run = [&](ScheduleMode M, PartitionStrategy S, bool Threaded,
-                   MessageFormat F, ExecBackend B) {
+                   ExecBackend B) {
       Config Cfg;
       Cfg.NumWorkers = W;
       Cfg.Threaded = Threaded;
       Cfg.Partition = S;
-      Cfg.Format = F;
       Cfg.Backend = B;
       Cfg.Schedule = M;
       Cfg.Combiners =
@@ -281,48 +275,39 @@ TEST_P(ScheduleSweep, PaperAlgorithmsBitIdenticalAcrossSchedules) {
 
     for (PartitionStrategy S : Strategies)
       for (bool Threaded : {false, true})
-        for (MessageFormat F : {MessageFormat::Packed, MessageFormat::Boxed})
-          for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Native}) {
-            exec::BackendRun Dense =
-                Run(ScheduleMode::Dense, S, Threaded, F, B);
-            std::string Base = std::string(C.Name) + " W=" +
-                               std::to_string(W) + " part=" +
-                               partitionStrategyName(S) +
-                               (Threaded ? " threaded" : " sequential") +
-                               (F == MessageFormat::Packed ? " packed"
-                                                           : " boxed") +
-                               (B == ExecBackend::Interp ? " interp"
-                                                         : " native");
-            EXPECT_EQ(Dense.Stats.SparseSupersteps, 0u) << Base;
-            for (ScheduleMode M :
-                 {ScheduleMode::Auto, ScheduleMode::Sparse}) {
-              exec::BackendRun Other = Run(M, S, Threaded, F, B);
-              std::string What =
-                  Base + " schedule=" + scheduleModeName(M);
-              expectSameCounters(Dense.Stats, Other.Stats, What);
-              if (M == ScheduleMode::Sparse)
-                EXPECT_EQ(Other.Stats.SparseSupersteps,
-                          Other.Stats.Supersteps)
-                    << What;
-              if (C.ResultProp) {
-                for (NodeId N = 0; N < G.numNodes(); ++N) {
-                  Value A = Dense.nodeValue(C.ResultProp, N);
-                  Value Bv = Other.nodeValue(C.ResultProp, N);
-                  ASSERT_TRUE(A == Bv)
-                      << What << " " << C.ResultProp << "[" << N
-                      << "]: " << A.toString() << " vs " << Bv.toString();
-                }
-              }
-              ASSERT_EQ(Dense.returnValue().has_value(),
-                        Other.returnValue().has_value())
+        for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Native}) {
+          exec::BackendRun Dense = Run(ScheduleMode::Dense, S, Threaded, B);
+          std::string Base = std::string(C.Name) + " W=" + std::to_string(W) +
+                             " part=" + partitionStrategyName(S) +
+                             (Threaded ? " threaded" : " sequential") +
+                             (B == ExecBackend::Interp ? " interp" : " native");
+          EXPECT_EQ(Dense.Stats.SparseSupersteps, 0u) << Base;
+          for (ScheduleMode M : {ScheduleMode::Auto, ScheduleMode::Sparse}) {
+            exec::BackendRun Other = Run(M, S, Threaded, B);
+            std::string What = Base + " schedule=" + scheduleModeName(M);
+            expectSameCounters(Dense.Stats, Other.Stats, What);
+            if (M == ScheduleMode::Sparse)
+              EXPECT_EQ(Other.Stats.SparseSupersteps, Other.Stats.Supersteps)
                   << What;
-              if (Dense.returnValue()) {
-                EXPECT_TRUE(*Dense.returnValue() == *Other.returnValue())
-                    << What << ": " << Dense.returnValue()->toString()
-                    << " vs " << Other.returnValue()->toString();
+            if (C.ResultProp) {
+              for (NodeId N = 0; N < G.numNodes(); ++N) {
+                Value A = Dense.nodeValue(C.ResultProp, N);
+                Value Bv = Other.nodeValue(C.ResultProp, N);
+                ASSERT_TRUE(A == Bv)
+                    << What << " " << C.ResultProp << "[" << N
+                    << "]: " << A.toString() << " vs " << Bv.toString();
               }
             }
+            ASSERT_EQ(Dense.returnValue().has_value(),
+                      Other.returnValue().has_value())
+                << What;
+            if (Dense.returnValue()) {
+              EXPECT_TRUE(*Dense.returnValue() == *Other.returnValue())
+                  << What << ": " << Dense.returnValue()->toString() << " vs "
+                  << Other.returnValue()->toString();
+            }
           }
+        }
   }
 }
 

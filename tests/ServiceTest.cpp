@@ -289,17 +289,64 @@ TEST(Service, SubmitRejectsBadKnobsAtAdmission) {
   loadGraph(Svc, "g");
   // Knob validation happens before a job record is created: a bad value is
   // an {"ok":false} response, not a failed job.
-  json::Node R = parsed(
-      Svc.handle(pagerankSubmit("g", ",\"message_format\":\"tagged\"")));
+  json::Node R =
+      parsed(Svc.handle(pagerankSubmit("g", ",\"backend\":\"cuda\"")));
   EXPECT_FALSE(R.boolAt("ok"));
   EXPECT_EQ(Svc.scheduler().counters().Submitted, 0u);
-
   json::Node R2 =
-      parsed(Svc.handle(pagerankSubmit("g", ",\"backend\":\"cuda\"")));
-  EXPECT_FALSE(R2.boolAt("ok"));
-  json::Node R3 =
       parsed(Svc.handle(pagerankSubmit("g", ",\"workers\":0")));
-  EXPECT_FALSE(R3.boolAt("ok"));
+  EXPECT_FALSE(R2.boolAt("ok"));
+}
+
+TEST(Service, EdgePropertyProgramFailsAndTheServiceKeepsServing) {
+  // Submits carry scalar arguments only, so sssp's "len" edge property can
+  // never be supplied: the job fails naming the property, instead of the
+  // engine reading a column that does not exist.
+  service::Service Svc;
+  loadGraph(Svc, "g");
+  json::Node R = parsed(Svc.handle(
+      "{\"op\":\"submit\",\"graph\":\"g\",\"source_file\":\"" +
+      algo("sssp.gm") + "\",\"args\":{\"root\":0}}"));
+  EXPECT_FALSE(R.boolAt("ok"));
+  EXPECT_EQ(R.strAt("state"), "failed");
+  EXPECT_NE(R.strAt("error").find("edge property \"len\""), std::string::npos)
+      << serialize(R);
+
+  json::Node Next = parsed(Svc.handle(pagerankSubmit("g")));
+  EXPECT_TRUE(Next.boolAt("ok")) << serialize(Next);
+  EXPECT_EQ(Next.strAt("state"), "done");
+}
+
+TEST(Service, MissingScalarArgumentFailsTheJob) {
+  service::Service Svc;
+  loadGraph(Svc, "g");
+  json::Node R = parsed(Svc.handle(
+      "{\"op\":\"submit\",\"graph\":\"g\",\"source_file\":\"" +
+      algo("pagerank.gm") + "\",\"args\":{\"e\":0.0,\"d\":0.85}}"));
+  EXPECT_FALSE(R.boolAt("ok"));
+  EXPECT_EQ(R.strAt("state"), "failed");
+  EXPECT_NE(R.strAt("error").find("missing scalar argument \"max_iter\""),
+            std::string::npos)
+      << serialize(R);
+  EXPECT_TRUE(parsed(Svc.handle(pagerankSubmit("g"))).boolAt("ok"));
+}
+
+TEST(Service, MessagelessProgramReportsThePackedFormat) {
+  // degree_stats sends no messages (its layout is empty) and still runs on
+  // the engine's one mailbox format; the "message_format" key in the
+  // request is ignored like any unknown key.
+  service::Service Svc;
+  loadGraph(Svc, "g");
+  json::Node R = parsed(Svc.handle(
+      "{\"op\":\"submit\",\"graph\":\"g\",\"source_file\":\"" +
+      algo("degree_stats.gm") +
+      "\",\"args\":{\"hub_bar\":4},\"message_format\":\"boxed\"}"));
+  ASSERT_TRUE(R.boolAt("ok")) << serialize(R);
+  json::Node Doc = parsed(reportOf(R));
+  const json::Node &Run = Doc.find("runs")->Elems[0];
+  EXPECT_EQ(Run.find("config")->strAt("message_format"), "packed");
+  EXPECT_EQ(Run.find("config")->intAt("mailbox_record_bytes"), 4);
+  EXPECT_EQ(Run.find("totals")->intAt("messages"), 0);
 }
 
 TEST(Service, RunsJobAndReportsMatchSchema) {
@@ -488,7 +535,7 @@ TEST(Service, CanonicalizeZeroesOnlyVolatileFields) {
 /// One leg of the determinism sweep: engine knobs that must not change
 /// results (docs/serving.md).
 struct Leg {
-  const char *MsgFormat;
+  const char *Partition;
   const char *Backend;
   unsigned Workers;
   bool Threaded;
@@ -496,22 +543,22 @@ struct Leg {
 
 std::string legSubmit(const Leg &L) {
   return pagerankSubmit(
-      "g", std::string(",\"message_format\":\"") + L.MsgFormat +
+      "g", std::string(",\"partition\":\"") + L.Partition +
                "\",\"backend\":\"" + L.Backend +
                "\",\"workers\":" + std::to_string(L.Workers) +
                (L.Threaded ? ",\"threaded\":true" : ""));
 }
 
 TEST(ServiceDeterminism, ConcurrentJobsMatchSequentialRuns) {
-  // packed/boxed x interp/native x two worker shapes = 8 simultaneous jobs,
-  // all sharing one resident graph. Every concurrent report must be
-  // bit-identical (canonicalized) to the same submission run sequentially
-  // with caching off.
+  // hash/range partitions x interp/native x two worker shapes = 8
+  // simultaneous jobs, all sharing one resident graph. Every concurrent
+  // report must be bit-identical (canonicalized) to the same submission run
+  // sequentially with caching off.
   const Leg Legs[] = {
-      {"packed", "interp", 2, false}, {"packed", "interp", 4, true},
-      {"boxed", "interp", 2, false},  {"boxed", "interp", 4, true},
-      {"packed", "native", 2, false}, {"packed", "native", 4, true},
-      {"boxed", "native", 2, false},  {"boxed", "native", 4, true},
+      {"hash", "interp", 2, false},  {"hash", "interp", 4, true},
+      {"range", "interp", 2, false}, {"range", "interp", 4, true},
+      {"hash", "native", 2, false},  {"hash", "native", 4, true},
+      {"range", "native", 2, false}, {"range", "native", 4, true},
   };
   constexpr size_t NumLegs = sizeof(Legs) / sizeof(Legs[0]);
 
@@ -550,7 +597,7 @@ TEST(ServiceDeterminism, ConcurrentJobsMatchSequentialRuns) {
   for (size_t I = 0; I < NumLegs; ++I) {
     EXPECT_FALSE(Got[I].empty()) << "leg " << I << " failed";
     EXPECT_EQ(Got[I], Expected[I])
-        << "leg " << I << " (" << Legs[I].MsgFormat << "/" << Legs[I].Backend
+        << "leg " << I << " (" << Legs[I].Partition << "/" << Legs[I].Backend
         << "/w" << Legs[I].Workers << ")";
   }
 }

@@ -334,6 +334,7 @@ TEST(ThreadedEngine, PickRandomNodeOnEmptyGraphReturnsInvalid) {
       Master.haltAll();
     }
     void compute(VertexContext &) override {}
+    MessageLayout messageLayout() const override { return MessageLayout(); }
   };
   Graph G = Graph::Builder(0).build();
   Engine E(G, Config{});
