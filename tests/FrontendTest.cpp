@@ -512,6 +512,11 @@ struct BadProgram {
   const char *ExpectedMessage;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes: three string
+// addresses that ASLR moves on every run, so the listed (and CTest) test
+// names would differ from one build to the next.
+void PrintTo(const BadProgram &P, std::ostream *OS) { *OS << P.Name; }
+
 class DiagnosticMatrix : public ::testing::TestWithParam<BadProgram> {};
 
 TEST_P(DiagnosticMatrix, ReportsTheRightError) {

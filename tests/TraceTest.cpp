@@ -310,6 +310,11 @@ struct AlgoCase {
   const char *ResultProp; ///< null: compare the return value only
 };
 
+// Without a printer gtest lists the parameter as its raw bytes: two string
+// addresses that ASLR moves on every run, so the listed (and CTest) test
+// names would differ from one build to the next.
+void PrintTo(const AlgoCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class TraceAlgoIdentity : public ::testing::TestWithParam<AlgoCase> {};
 
 exec::ExecArgs makeArgs(const std::string &Algo, const Graph &G,
