@@ -131,7 +131,6 @@ inline pregel::RunStats runManual(const std::string &Algo,
     return pregel::Engine(BG.G, Cfg).run(P);
   }
   if (Algo == "bipartite_matching") {
-    Cfg.TaggedMessages = true;
     manual::BipartiteMatchingProgram P(In.Left);
     return pregel::Engine(BG.G, Cfg).run(P);
   }

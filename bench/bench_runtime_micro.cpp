@@ -20,7 +20,7 @@
 /// bench pipeline.
 ///
 /// `bench_runtime_micro --partitioning [reps] [--smoke] [--json <path>]`
-/// runs the partitioning sweep: PageRank and SSSP across all four partition
+/// runs the partitioning sweep: PageRank and SSSP across all three partition
 /// strategies with LALP mirroring off and on (default path
 /// BENCH_partitioning.json). It fails if message totals diverge across
 /// strategies (partitioning leaked into execution) or if LALP's
@@ -491,8 +491,7 @@ int runPartitioningSweep(int Reps, const std::string &JsonPath, bool Smoke) {
   const unsigned HostCores = std::thread::hardware_concurrency();
   constexpr pregel::PartitionStrategy Strategies[] = {
       pregel::PartitionStrategy::Hash, pregel::PartitionStrategy::Range,
-      pregel::PartitionStrategy::EdgeBalanced,
-      pregel::PartitionStrategy::DegreeAware};
+      pregel::PartitionStrategy::EdgeBalanced};
 
   std::printf("Partitioning sweep: rmat(%u,%llu), workers=%u, lalp "
               "threshold=%u, %d reps, host cores: %u\n",

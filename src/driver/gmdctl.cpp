@@ -42,8 +42,8 @@ Commands (docs/serving.md has the full protocol):
 
 Job options for submit:
   --arg <name>=<value>       scalar procedure argument (repeatable)
-  --workers <n> --threaded --partition <strategy>
-  --lalp-threshold <n> --schedule <mode>
+  --workers <n> --threaded --partition <hash|range|edge-balanced>
+  --lalp-threshold <n> --schedule <auto|dense|sparse>
   --backend <interp|native> --seed <n> --max-supersteps <n> --trace
   --no-wait                  return the job id without waiting
   --report <path>            write the job's run report JSON ("-" = stdout)

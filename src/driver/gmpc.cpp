@@ -81,8 +81,7 @@ Execution (interprets the compiled program on the bundled BSP runtime):
   --workers <n>                  simulated workers (default 4)
   --threaded                     run the workers as real threads
   --partition <strategy>         vertex partitioning: hash (default), range,
-                                 edge-balanced, or degree-aware
-                                 (docs/partitioning.md)
+                                 or edge-balanced (docs/partitioning.md)
   --lalp-threshold <n>           LALP mirroring: broadcast from vertices with
                                  out-degree >= n as one record per worker
                                  (0 = off, the default)
@@ -229,8 +228,8 @@ int main(int argc, char **argv) {
       std::string Name = A == "--partition" ? Next() : A.substr(12);
       auto S = pregel::parsePartitionStrategy(Name);
       if (!S) {
-        std::fprintf(stderr, "gmpc: --partition expects hash, range, "
-                             "edge-balanced, or degree-aware\n");
+        std::fprintf(stderr, "gmpc: --partition expects hash, range, or "
+                             "edge-balanced\n");
         return 2;
       }
       Partition = *S;
@@ -460,6 +459,11 @@ int main(int argc, char **argv) {
       Args.EdgeProps[RP.Name] = std::move(Vals);
     else
       Args.NodeProps[RP.Name] = std::move(Vals);
+  }
+  if (std::string Missing = exec::missingArgument(*R.Program, Args);
+      !Missing.empty()) {
+    std::fprintf(stderr, "gmpc: %s\n", Missing.c_str());
+    return 2;
   }
 
   pregel::Config Cfg;

@@ -90,8 +90,6 @@ BackendRun gm::exec::runProgramWithBackend(const pir::PregelProgram &P,
       }
     }
     if (Run.Compiled) {
-      // Same tag accounting as exec::runProgram does for the interpreter.
-      Cfg.TaggedMessages = Run.Compiled->tagCount() > 1;
       pregel::Engine Engine(G, Cfg);
       Run.Stats = Engine.run(*Run.Compiled);
       return Run;

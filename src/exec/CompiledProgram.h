@@ -144,11 +144,6 @@ public:
   /// (pir::programFingerprint over the printed IR).
   virtual const char *fingerprint() const = 0;
 
-  /// Number of distinct message tags (IR message types plus the in-neighbor
-  /// setup type). Runners use this to set Config::TaggedMessages exactly
-  /// the way exec::runProgram does for the interpreter.
-  virtual unsigned tagCount() const = 0;
-
   /// Final value of node property \p Prop for node \p N. Asserts on unknown
   /// property names, like IRExecutor::nodeProp.
   virtual Value nodeValue(const std::string &Prop, NodeId N) const = 0;

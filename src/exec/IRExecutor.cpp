@@ -544,12 +544,20 @@ Value IRExecutor::globalValue(const std::string &Name) const {
   return It->second;
 }
 
+std::string exec::missingArgument(const PregelProgram &Prog,
+                                  const ExecArgs &Args) {
+  for (const GlobalDef &D : Prog.Globals)
+    if (D.Param && !Args.Scalars.count(D.Name))
+      return "missing scalar argument \"" + D.Name + "\"";
+  for (const PropDef &D : Prog.EdgeProps)
+    if (!Args.EdgeProps.count(D.Name))
+      return "missing edge property \"" + D.Name + "\"";
+  return "";
+}
+
 pregel::RunStats exec::runProgram(const PregelProgram &Prog, const Graph &G,
                                   ExecArgs Args, pregel::Config Cfg,
                                   std::unique_ptr<IRExecutor> *OutExec) {
-  unsigned TagCount =
-      static_cast<unsigned>(Prog.MsgTypes.size()) + (Prog.UsesInNbrs ? 1 : 0);
-  Cfg.TaggedMessages = TagCount > 1;
   auto Exec = std::make_unique<IRExecutor>(Prog, G, std::move(Args));
   pregel::Engine Engine(G, Cfg);
   pregel::RunStats Stats = Engine.run(*Exec);

@@ -104,6 +104,13 @@ struct ExecArgs {
   std::unordered_map<std::string, std::vector<Value>> EdgeProps;
 };
 
+/// The first input \p Prog needs that \p Args lacks, as a message: a scalar
+/// parameter without a value (`missing scalar argument "hub_bar"`) or a
+/// declared edge property without a column (`missing edge property "len"`).
+/// Empty when every scalar parameter and edge property is supplied.
+std::string missingArgument(const pir::PregelProgram &Prog,
+                            const ExecArgs &Args);
+
 class IRExecutor : public pregel::VertexProgram {
 public:
   IRExecutor(const pir::PregelProgram &Prog, const Graph &G, ExecArgs Args);

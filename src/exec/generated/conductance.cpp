@@ -30,8 +30,6 @@ public:
   
   const char *fingerprint() const override { return Fingerprint; }
   
-  unsigned tagCount() const override { return 1; }
-  
   /// pir::deriveMessageLayout of the source IR, baked in.
   pregel::MessageLayout messageLayout() const override {
     pregel::MessageLayout L;

@@ -62,11 +62,8 @@ constexpr unsigned MaxPackedRecordBytes = 8 + 8 * MaxMessagePayload;
 /// MsgTypeLayout indexed by the message type tag. Every program declares
 /// one; an empty layout is the schema of a program that sends nothing.
 ///
-/// The tag is *stored* in records only when the layout has more than one
-/// type. That is a structural property of the layout, deliberately decoupled
-/// from Config::TaggedMessages, which controls wire-byte *accounting* — the
-/// two usually agree but a program's byte counters must not depend on how
-/// its records are stored.
+/// The tag is stored in records, and charged on the wire, only when the
+/// layout has more than one type.
 class MessageLayout {
 public:
   bool empty() const { return NumTypes == 0; }
@@ -119,11 +116,10 @@ public:
   }
 
   /// Simulated wire bytes of one message of \p Tag: 4-byte destination
-  /// header, 4-byte tag when the program pays for tags (\p TaggedProgram —
-  /// the accounting flag, not storesTag()), plus the payload. A per-type
+  /// header, 4-byte tag when storesTag(), plus the payload. A per-type
   /// constant, so wire accounting never walks a payload.
-  unsigned wireBytes(int32_t Tag, bool TaggedProgram) const {
-    return 4u + (TaggedProgram ? 4u : 0u) + type(Tag).PayloadWireBytes;
+  unsigned wireBytes(int32_t Tag) const {
+    return 4u + (storesTag() ? 4u : 0u) + type(Tag).PayloadWireBytes;
   }
 
   //===--------------------------------------------------------------------===//

@@ -3,7 +3,6 @@
 #include "pregel/Partitioner.h"
 
 #include <algorithm>
-#include <numeric>
 
 using namespace gm;
 using namespace gm::pregel;
@@ -16,8 +15,6 @@ const char *gm::pregel::partitionStrategyName(PartitionStrategy S) {
     return "range";
   case PartitionStrategy::EdgeBalanced:
     return "edge-balanced";
-  case PartitionStrategy::DegreeAware:
-    return "degree-aware";
   }
   return "hash";
 }
@@ -30,173 +27,78 @@ gm::pregel::parsePartitionStrategy(std::string_view Name) {
     return PartitionStrategy::Range;
   if (Name == "edge-balanced")
     return PartitionStrategy::EdgeBalanced;
-  if (Name == "degree-aware")
-    return PartitionStrategy::DegreeAware;
   return std::nullopt;
-}
-
-Partition Partition::makeModulo(NodeId NumNodes, unsigned NumWorkers) {
-  assert(NumWorkers > 0 && "need at least one worker");
-  Partition P;
-  P.W = NumWorkers;
-  P.N = NumNodes;
-  P.Modulo = true;
-  P.Owned.resize(NumWorkers);
-  for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
-    std::vector<NodeId> &O = P.Owned[Worker];
-    O.reserve(NumNodes / NumWorkers + 1);
-    for (NodeId V = Worker; V < NumNodes; V += NumWorkers)
-      O.push_back(V);
-  }
-  return P;
-}
-
-Partition Partition::makeFromMap(std::vector<uint32_t> VertexToWorker,
-                                 unsigned NumWorkers) {
-  assert(NumWorkers > 0 && "need at least one worker");
-  Partition P;
-  P.W = NumWorkers;
-  P.N = static_cast<NodeId>(VertexToWorker.size());
-  P.Modulo = false;
-  P.Map = std::move(VertexToWorker);
-  P.Owned.resize(NumWorkers);
-  for (NodeId V = 0; V < P.N; ++V) {
-    assert(P.Map[V] < NumWorkers && "partition map entry out of range");
-    P.Owned[P.Map[V]].push_back(V);
-  }
-  return P;
 }
 
 std::vector<uint64_t> Partition::edgeCounts(const Graph &G) const {
   assert(G.numNodes() == N && "partition built for a different graph");
   std::vector<uint64_t> Counts(W, 0);
-  for (unsigned Worker = 0; Worker < W; ++Worker)
-    for (NodeId V : Owned[Worker])
+  for (unsigned Worker = 0; Worker < W; ++Worker) {
+    const Slice S = slice(Worker);
+    for (NodeId V = S.First; V < S.End; V += S.Stride)
       Counts[Worker] += G.outDegree(V);
+  }
   return Counts;
 }
 
-Partitioner::~Partitioner() = default;
-
 namespace {
-
-class HashPartitioner : public Partitioner {
-public:
-  Partition build(const Graph &G, unsigned NumWorkers) const override {
-    return Partition::makeModulo(G.numNodes(), NumWorkers);
-  }
-  PartitionStrategy strategy() const override {
-    return PartitionStrategy::Hash;
-  }
-};
 
 /// Contiguous id ranges of (near-)equal vertex count: the first N % W
 /// workers own one extra vertex.
-class RangePartitioner : public Partitioner {
-public:
-  Partition build(const Graph &G, unsigned NumWorkers) const override {
-    const NodeId N = G.numNodes();
-    std::vector<uint32_t> Map(N);
-    const NodeId Base = NumWorkers ? N / NumWorkers : 0;
-    const NodeId Extra = NumWorkers ? N % NumWorkers : 0;
-    NodeId V = 0;
-    for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
-      NodeId Take = Base + (Worker < Extra ? 1 : 0);
-      for (NodeId End = V + Take; V < End; ++V)
-        Map[V] = Worker;
-    }
-    return Partition::makeFromMap(std::move(Map), NumWorkers);
-  }
-  PartitionStrategy strategy() const override {
-    return PartitionStrategy::Range;
-  }
-};
+std::vector<NodeId> rangeCuts(const Graph &G, unsigned NumWorkers) {
+  const NodeId N = G.numNodes();
+  std::vector<NodeId> Cuts(NumWorkers + 1, 0);
+  for (unsigned Worker = 0; Worker < NumWorkers; ++Worker)
+    Cuts[Worker + 1] =
+        Cuts[Worker] + N / NumWorkers + (Worker < N % NumWorkers ? 1 : 0);
+  return Cuts;
+}
 
 /// Contiguous id ranges cut so each worker's share of vertex weight
 /// (out-degree + 1; the +1 keeps edgeless graphs splittable) tracks the
 /// ideal k/W fraction. Boundaries are clamped so every worker owns at least
 /// one vertex whenever N >= W.
-class EdgeBalancedPartitioner : public Partitioner {
-public:
-  Partition build(const Graph &G, unsigned NumWorkers) const override {
-    const NodeId N = G.numNodes();
-    uint64_t Total = G.numEdges() + N;
-    std::vector<uint32_t> Map(N);
-    NodeId V = 0;
-    uint64_t Cum = 0;
-    for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
-      // Take vertices until the cumulative weight reaches this worker's
-      // share of the total.
-      const uint64_t Target = Total * (Worker + 1) / NumWorkers;
-      NodeId First = V;
-      while (V < N && (Cum < Target || V == First)) {
-        // Leave enough vertices for the remaining workers.
-        if (V > First && N - V <= NumWorkers - Worker - 1)
-          break;
-        Cum += G.outDegree(V) + 1;
-        Map[V++] = Worker;
-      }
+std::vector<NodeId> edgeBalancedCuts(const Graph &G, unsigned NumWorkers) {
+  const NodeId N = G.numNodes();
+  const uint64_t Total = G.numEdges() + N;
+  std::vector<NodeId> Cuts(NumWorkers + 1, 0);
+  NodeId V = 0;
+  uint64_t Cum = 0;
+  for (unsigned Worker = 0; Worker < NumWorkers; ++Worker) {
+    // Take vertices until the cumulative weight reaches this worker's
+    // share of the total.
+    const uint64_t Target = Total * (Worker + 1) / NumWorkers;
+    const NodeId First = V;
+    while (V < N && (Cum < Target || V == First)) {
+      // Leave enough vertices for the remaining workers.
+      if (V > First && N - V <= NumWorkers - Worker - 1)
+        break;
+      Cum += G.outDegree(V++) + 1;
     }
-    // Weight rounding can leave a tail; the last worker absorbs it.
-    for (; V < N; ++V)
-      Map[V] = NumWorkers - 1;
-    return Partition::makeFromMap(std::move(Map), NumWorkers);
+    Cuts[Worker + 1] = V;
   }
-  PartitionStrategy strategy() const override {
-    return PartitionStrategy::EdgeBalanced;
-  }
-};
-
-/// Greedy longest-processing-time: vertices in descending out-degree order
-/// (ties by id), each to the currently least-loaded worker (ties to the
-/// lowest id). Deterministic, and within max-item + mean of the optimal
-/// edge balance; on skewed graphs it splits the hubs across workers, which
-/// contiguous cuts cannot.
-class DegreeAwarePartitioner : public Partitioner {
-public:
-  Partition build(const Graph &G, unsigned NumWorkers) const override {
-    const NodeId N = G.numNodes();
-    std::vector<NodeId> Order(N);
-    std::iota(Order.begin(), Order.end(), 0);
-    std::stable_sort(Order.begin(), Order.end(), [&](NodeId A, NodeId B) {
-      return G.outDegree(A) > G.outDegree(B);
-    });
-    std::vector<uint64_t> Load(NumWorkers, 0);
-    std::vector<uint32_t> Map(N);
-    for (NodeId V : Order) {
-      unsigned Best = 0;
-      for (unsigned Worker = 1; Worker < NumWorkers; ++Worker)
-        if (Load[Worker] < Load[Best])
-          Best = Worker;
-      Map[V] = Best;
-      Load[Best] += uint64_t(G.outDegree(V)) + 1;
-    }
-    return Partition::makeFromMap(std::move(Map), NumWorkers);
-  }
-  PartitionStrategy strategy() const override {
-    return PartitionStrategy::DegreeAware;
-  }
-};
+  // Weight rounding can leave a tail; the last worker absorbs it.
+  Cuts[NumWorkers] = N;
+  return Cuts;
+}
 
 } // namespace
 
-std::unique_ptr<Partitioner> Partitioner::create(PartitionStrategy S) {
-  switch (S) {
-  case PartitionStrategy::Hash:
-    return std::make_unique<HashPartitioner>();
-  case PartitionStrategy::Range:
-    return std::make_unique<RangePartitioner>();
-  case PartitionStrategy::EdgeBalanced:
-    return std::make_unique<EdgeBalancedPartitioner>();
-  case PartitionStrategy::DegreeAware:
-    return std::make_unique<DegreeAwarePartitioner>();
-  }
-  return std::make_unique<HashPartitioner>();
-}
-
 Partition gm::pregel::makePartition(const Graph &G, PartitionStrategy S,
                                     unsigned NumWorkers) {
-  return Partitioner::create(S)->build(G, NumWorkers);
+  assert(NumWorkers > 0 && "need at least one worker");
+  Partition P;
+  P.W = NumWorkers;
+  P.N = G.numNodes();
+  if (S == PartitionStrategy::Hash)
+    return P;
+  P.Cuts = S == PartitionStrategy::Range ? rangeCuts(G, NumWorkers)
+                                         : edgeBalancedCuts(G, NumWorkers);
+  P.Owner.resize(P.N);
+  for (unsigned Worker = 0; Worker < NumWorkers; ++Worker)
+    std::fill(P.Owner.begin() + P.Cuts[Worker],
+              P.Owner.begin() + P.Cuts[Worker + 1], Worker);
+  return P;
 }
 
 LalpPlan gm::pregel::buildLalpPlan(const Graph &G, const Partition &P,

@@ -6,11 +6,10 @@
 /// and large-adjacency-list partitioning (LALP) for high-degree vertices;
 /// this header makes both first-class:
 ///
-///  - a Partitioner interface with four strategies (hash — the classic
-///    Pregel default, contiguous range, edge-balanced greedy, degree-aware
-///    greedy) producing an immutable Partition map the engine routes every
-///    message through (with a fast path keeping hash partitioning at
-///    today's mod-W arithmetic);
+///  - three strategies (hash — the classic Pregel default, contiguous range,
+///    edge-balanced contiguous cuts) producing an immutable Partition the
+///    engine routes every message through: a stride for hash, W+1 cut
+///    points for the other two;
 ///  - a LalpPlan: per-worker mirror adjacency lists for vertices whose
 ///    out-degree reaches a threshold, so a neighborhood broadcast ships one
 ///    record per worker instead of one per out-edge and the receiving
@@ -28,7 +27,6 @@
 #include "graph/Graph.h"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -40,20 +38,19 @@ enum class PartitionStrategy : uint8_t {
   Hash,         ///< worker(v) = v mod W (the Pregel/GPS default)
   Range,        ///< contiguous id ranges with equal vertex counts
   EdgeBalanced, ///< contiguous id ranges with balanced out-edge counts
-  DegreeAware,  ///< greedy: heaviest vertices first, least-loaded worker
 };
 
-/// Canonical CLI/report name of \p S ("hash", "range", "edge-balanced",
-/// "degree-aware").
+/// Canonical CLI/report name of \p S ("hash", "range", "edge-balanced").
 const char *partitionStrategyName(PartitionStrategy S);
 
 /// Inverse of partitionStrategyName; nullopt for unknown names.
 std::optional<PartitionStrategy> parsePartitionStrategy(std::string_view Name);
 
-/// An immutable vertex -> worker assignment. Hash partitions keep no map at
-/// all (isModulo), so the worker lookup stays one modulo, exactly as before
-/// the subsystem existed; every other strategy carries an explicit map plus
-/// per-worker owned-vertex lists in ascending id order.
+/// An immutable vertex -> worker assignment. Every worker owns an
+/// arithmetic progression of ids: a stride of W from its own id for hash
+/// (no per-vertex state, so the lookup stays one modulo), or one contiguous
+/// run between two of W+1 cut points, with a per-vertex owner array keeping
+/// the lookup O(1) on the send path.
 class Partition {
 public:
   Partition() = default;
@@ -61,53 +58,43 @@ public:
   unsigned numWorkers() const { return W; }
   NodeId numNodes() const { return N; }
 
-  /// True when worker lookup is plain mod-W arithmetic (no map load).
-  bool isModulo() const { return Modulo; }
-
   unsigned workerOf(NodeId V) const {
     assert(V < N && "vertex out of partition range");
-    return Modulo ? V % W : Map[V];
+    return Owner.empty() ? V % W : Owner[V];
   }
 
-  /// Vertices owned by \p Worker, ascending. Materialized for every
-  /// strategy (the engine's hot loops still use strided arithmetic on
-  /// modulo partitions; this is for map-driven iteration and reporting).
-  const std::vector<NodeId> &owned(unsigned Worker) const {
+  /// Worker \p Worker owns First, First + Stride, ... below End, ascending.
+  struct Slice {
+    NodeId First, End, Stride;
+  };
+  Slice slice(unsigned Worker) const {
     assert(Worker < W && "worker out of range");
-    return Owned[Worker];
+    if (Cuts.empty())
+      return {Worker, N, W};
+    return {Cuts[Worker], Cuts[Worker + 1], 1};
   }
 
-  size_t ownedCount(unsigned Worker) const { return Owned[Worker].size(); }
+  size_t ownedCount(unsigned Worker) const {
+    const Slice S = slice(Worker);
+    return S.First < S.End
+               ? (size_t(S.End) - S.First + S.Stride - 1) / S.Stride
+               : 0;
+  }
 
   /// Out-edges owned by each worker (sum of owned vertices' out-degrees).
   std::vector<uint64_t> edgeCounts(const Graph &G) const;
 
-  static Partition makeModulo(NodeId NumNodes, unsigned NumWorkers);
-  static Partition makeFromMap(std::vector<uint32_t> VertexToWorker,
-                               unsigned NumWorkers);
-
 private:
+  friend Partition makePartition(const Graph &G, PartitionStrategy S,
+                                 unsigned NumWorkers);
+
   unsigned W = 1;
   NodeId N = 0;
-  bool Modulo = true;
-  std::vector<uint32_t> Map;               ///< empty when Modulo
-  std::vector<std::vector<NodeId>> Owned;  ///< per worker, ascending ids
+  std::vector<NodeId> Cuts;    ///< W+1 ascending cut points; empty for hash
+  std::vector<uint32_t> Owner; ///< worker per vertex; empty for hash
 };
 
-/// A partitioning strategy: turns a graph and a worker count into a
-/// Partition. Stateless; create via create().
-class Partitioner {
-public:
-  virtual ~Partitioner();
-
-  virtual Partition build(const Graph &G, unsigned NumWorkers) const = 0;
-  virtual PartitionStrategy strategy() const = 0;
-  const char *name() const { return partitionStrategyName(strategy()); }
-
-  static std::unique_ptr<Partitioner> create(PartitionStrategy S);
-};
-
-/// Convenience: create(S)->build(G, NumWorkers).
+/// Partitions \p G's vertices over \p NumWorkers workers with strategy \p S.
 Partition makePartition(const Graph &G, PartitionStrategy S,
                         unsigned NumWorkers);
 

@@ -380,12 +380,10 @@ bool Engine::decideSparse(uint64_t Estimate) const {
     break;
   }
   // Ligra/GraphIt-style direction threshold: frontier iteration only pays
-  // when the step touches well under numNodes / divisor vertices; the
-  // estimate (active after voting + delivered messages) upper-bounds the
-  // vertices the step will run. Divisor 0 is treated as "never sparse".
-  if (Cfg.ScheduleSparseDivisor == 0)
-    return false;
-  return Estimate < uint64_t(G.numNodes()) / Cfg.ScheduleSparseDivisor;
+  // when the step touches well under an eighth of the graph; the estimate
+  // (active after voting + delivered messages) upper-bounds the vertices
+  // the step will run.
+  return Estimate < uint64_t(G.numNodes()) / 8;
 }
 
 size_t Engine::shardCount(unsigned Sender, unsigned Dst) const {
@@ -814,7 +812,7 @@ RunStats Engine::run(VertexProgram &Program) {
   for (int32_t Tag = 0; Tag <= Layout.maxTag(); ++Tag) {
     if (!Layout.hasType(Tag))
       continue;
-    WireBytesByTag[Tag] = Layout.wireBytes(Tag, Cfg.TaggedMessages);
+    WireBytesByTag[Tag] = Layout.wireBytes(Tag);
     auto It = Cfg.Combiners.find(Tag);
     if (It != Cfg.Combiners.end() && Layout.type(Tag).Slots.size() == 1) {
       CombineOrd[Tag] = static_cast<int32_t>(NumCombinable++);
@@ -858,7 +856,7 @@ RunStats Engine::run(VertexProgram &Program) {
 
   // Schedule state (docs/scheduling.md). Superstep 0 runs every vertex (all
   // start active), so its frontier estimate is N and Auto starts dense; a
-  // forced-sparse run seeds each worker's frontier with its owned list.
+  // forced-sparse run seeds each worker's frontier with every vertex it owns.
   // Received lists are empty and every InboxCount is zero, so the first
   // delivery's per-receiver reset is vacuous and correct.
   ReceivedTracked = true;

@@ -120,7 +120,6 @@ struct Config {
   uint32_t LalpThreshold = 0;
   uint64_t RandomSeed = 1;   ///< seed for master-side PickRandom
   uint64_t MaxSupersteps = 1u << 20; ///< runaway guard
-  bool TaggedMessages = false; ///< program uses >1 message type (adds 4B/msg)
   /// Collect RunStats::Steps (per-superstep trace, per-worker metrics).
   /// A handful of clock reads and one small record per superstep; on by
   /// default so every run is observable.
@@ -135,13 +134,9 @@ struct Config {
   ExecBackend Backend = ExecBackend::Interp;
   /// Per-superstep sparse/dense traversal schedule (docs/scheduling.md).
   /// Auto switches to frontier iteration whenever
-  /// active_after + delivered_messages < numNodes / ScheduleSparseDivisor;
+  /// active_after + delivered_messages < numNodes / 8;
   /// Dense / Sparse force one path. Results are bit-identical in all modes.
   ScheduleMode Schedule = ScheduleMode::Auto;
-  /// The Auto threshold divisor: sparse when the frontier estimate is below
-  /// numNodes / this. Ligra-style default of 8 (sparse only when well under
-  /// an eighth of the graph fronts the step).
-  uint32_t ScheduleSparseDivisor = 8;
   /// Pregel message combiners: messages of a listed type heading to the
   /// same destination are reduced at the sending worker before they hit
   /// the wire (single-field payloads only). Empty = no combining.
@@ -329,16 +324,10 @@ public:
 private:
   struct WorkerState;
 
-  /// Applies \p Body to every vertex owned by \p WorkerId, ascending. Keeps
-  /// the historical strided loop (no map loads) on modulo partitions.
+  /// Applies \p Body to every vertex owned by \p WorkerId, ascending.
   template <typename Fn> void forEachOwned(unsigned WorkerId, Fn Body) const {
-    if (Part.isModulo()) {
-      const NodeId N = G.numNodes();
-      for (NodeId V = WorkerId; V < N; V += Cfg.NumWorkers)
-        Body(V);
-      return;
-    }
-    for (NodeId V : Part.owned(WorkerId))
+    const Partition::Slice S = Part.slice(WorkerId);
+    for (NodeId V = S.First; V < S.End; V += S.Stride)
       Body(V);
   }
 

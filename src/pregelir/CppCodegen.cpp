@@ -644,11 +644,6 @@ private:
     line();
     line("const char *fingerprint() const override { return Fingerprint; }");
     line();
-    unsigned Tags =
-        static_cast<unsigned>(P.MsgTypes.size()) + (P.UsesInNbrs ? 1 : 0);
-    line("unsigned tagCount() const override { return " +
-         std::to_string(Tags) + "; }");
-    line();
     messageLayoutFn();
     line();
     initFn();

@@ -211,13 +211,6 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
   CompileResult R = compileGreenMarl(Spec.Source, Opts);
   if (!R.ok())
     throw ServiceError("compilation failed: " + R.Diags->dump());
-  // Submits carry scalar arguments only, so an edge-property column could
-  // never be supplied.
-  if (!R.Program->EdgeProps.empty())
-    throw ServiceError("program declares edge property \"" +
-                       R.Program->EdgeProps.front().Name +
-                       "\", but submits carry scalar arguments only");
-
   // Coerce the JSON argument values against the program's declared scalar
   // types, exactly like gmpc --arg parsing.
   std::vector<std::pair<std::string, Value>> TypedArgs;
@@ -234,12 +227,14 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
     else
       TypedArgs.emplace_back(Name, Value::makeInt(V.asInt()));
   }
-  // An unset scalar parameter would reach the engine as an undef value.
-  for (const pir::GlobalDef &D : R.Program->Globals) {
-    auto Named = [&](const auto &A) { return A.first == D.Name; };
-    if (D.Param && std::none_of(TypedArgs.begin(), TypedArgs.end(), Named))
-      throw ServiceError("missing scalar argument \"" + D.Name + "\"");
-  }
+  exec::ExecArgs Args;
+  for (const auto &[Name, V] : TypedArgs)
+    Args.Scalars[Name] = V;
+  // Submits carry scalar arguments only, so a program that declares an edge
+  // property always fails here.
+  if (std::string Missing = exec::missingArgument(*R.Program, Args);
+      !Missing.empty())
+    throw ServiceError(Missing);
 
   const std::string Fingerprint = pir::programFingerprint(*R.Program);
   const std::string Key =
@@ -264,10 +259,6 @@ std::string runJob(const JobSpec &Spec, const ResidentGraph &RG,
           " bytes (graph " + RG.Info.Name + ", record " +
           std::to_string(RecordBytes) + "B)");
   }
-
-  exec::ExecArgs Args;
-  for (const auto &[Name, V] : TypedArgs)
-    Args.Scalars[Name] = V;
 
   pregel::Config Cfg = Spec.Cfg;
   DiagnosticEngine RunDiags;

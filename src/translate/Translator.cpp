@@ -1063,7 +1063,6 @@ void Translator::translateRandomWrite(AssignStmt *A, LoopCtx &LC,
                                       std::vector<VStmt *> &Out) {
   logFeature(feature::RandomWriting);
   auto *PA = cast<PropAccessExpr>(A->target());
-  VarDecl *Target = PA->baseVar();
 
   int Msg = P->addMsgType("m" + std::to_string(P->MsgTypes.size()) + "_rw_" +
                           PA->prop()->name());
@@ -1081,7 +1080,8 @@ void Translator::translateRandomWrite(AssignStmt *A, LoopCtx &LC,
   // The target expression is the node variable itself (a loop-local node
   // property or a broadcast Node scalar).
   auto *Ref = dyn_cast<VarRefExpr>(PA->base());
-  assert(Ref && Ref->decl() == Target && "random write base must be a variable");
+  assert(Ref && Ref->decl() == PA->baseVar() &&
+         "random write base must be a variable");
   Send->Value = vertexExpr(Ref, LC);
   Send->Payload.push_back(Payload);
   Out.push_back(Send);

@@ -134,6 +134,34 @@ TEST(Cli, MessageFormatFlagIsGone) {
       << R.Output;
 }
 
+TEST(Cli, MissingEdgePropertyIsAUsageError) {
+  // sssp reads edge property "len"; without --rand-eprop it has no column.
+  CliResult R = runGmpc(algo("sssp.gm") +
+                        " --run --graph-rmat 200 800 --arg root=0");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("missing edge property \"len\""), std::string::npos)
+      << R.Output;
+}
+
+TEST(Cli, MissingScalarArgumentIsAUsageError) {
+  CliResult R =
+      runGmpc(algo("degree_stats.gm") + " --run --graph-rmat 2000 8000");
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  EXPECT_NE(R.Output.find("missing scalar argument \"hub_bar\""),
+            std::string::npos)
+      << R.Output;
+}
+
+TEST(Cli, DegreeAwarePartitionIsGone) {
+  CliResult R = runGmpc(algo("pagerank.gm") +
+                        " --run --graph-rmat 200 800 --partition degree-aware"
+                        " --arg e=0.0 --arg d=0.85 --arg max_iter=2");
+  EXPECT_EQ(R.ExitCode, 2);
+  EXPECT_NE(R.Output.find("--partition expects hash, range, or edge-balanced"),
+            std::string::npos)
+      << R.Output;
+}
+
 //===----------------------------------------------------------------------===//
 // Observability flags (--stats / --trace / --stats-json).
 //===----------------------------------------------------------------------===//

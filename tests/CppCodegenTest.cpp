@@ -224,7 +224,7 @@ TEST_P(BackendSweep, PaperAlgorithmsBitIdenticalToInterpreter) {
   };
   const PartitionStrategy Strategies[] = {
       PartitionStrategy::Hash, PartitionStrategy::Range,
-      PartitionStrategy::EdgeBalanced, PartitionStrategy::DegreeAware};
+      PartitionStrategy::EdgeBalanced};
   const unsigned W = GetParam();
 
   for (const AlgoCase &C : Cases) {

@@ -390,8 +390,9 @@ TEST_P(DataFlowEquivalence, PaperAlgorithmsBitIdenticalOnVsOff) {
         // optimized program (native or interp) must match the
         // unoptimized interpreter bit for bit.
         exec::BackendRun Bx = Run(Off, Threaded, B);
-        if (B == pregel::ExecBackend::Native)
+        if (B == pregel::ExecBackend::Native) {
           EXPECT_EQ(A.Used, exec::BackendKind::NativeRegistry) << What;
+        }
 
         EXPECT_EQ(A.Stats.Supersteps, Bx.Stats.Supersteps) << What;
         EXPECT_EQ(A.Stats.TotalMessages, Bx.Stats.TotalMessages) << What;
@@ -411,10 +412,11 @@ TEST_P(DataFlowEquivalence, PaperAlgorithmsBitIdenticalOnVsOff) {
         ASSERT_EQ(A.returnValue().has_value(),
                   Bx.returnValue().has_value())
             << What;
-        if (A.returnValue())
+        if (A.returnValue()) {
           EXPECT_TRUE(*A.returnValue() == *Bx.returnValue())
               << What << ": " << A.returnValue()->toString() << " vs "
               << Bx.returnValue()->toString();
+        }
       }
   }
 }

@@ -240,9 +240,7 @@ TEST(E2E, BipartiteMatchingIsValidAndMaximal) {
   // manual baseline also takes 3 supersteps per round.
   manual::BipartiteMatchingProgram Manual(
       std::vector<uint8_t>(Left.begin(), Left.end()));
-  Config MCfg = Cfg;
-  MCfg.TaggedMessages = true;
-  RunStats Man = Engine(G, MCfg).run(Manual);
+  RunStats Man = Engine(G, Cfg).run(Manual);
   EXPECT_TRUE(reference::isMaximalMatching(G, Left, Manual.match()));
   EXPECT_GT(Exec->returnValue()->getInt(), 0);
   EXPECT_GT(Man.Supersteps, 0u);

@@ -186,10 +186,8 @@ TEST(ManualMatching, ProducesMaximalMatching) {
   for (NodeId N = 0; N < L; ++N)
     Left[N] = 1;
 
-  Config Cfg;
-  Cfg.TaggedMessages = true;
   BipartiteMatchingProgram P(Left);
-  Engine(G, Cfg).run(P);
+  Engine(G, Config{}).run(P);
 
   EXPECT_TRUE(reference::isValidMatching(G, Left, P.match()));
   EXPECT_TRUE(reference::isMaximalMatching(G, Left, P.match()));
@@ -296,10 +294,8 @@ TEST(ManualLayouts, AllManualProgramsMatchTheirDeclaredLayout) {
     std::vector<uint8_t> Left(L + R, 0);
     for (NodeId N = 0; N < L; ++N)
       Left[N] = 1;
-    Config Cfg;
-    Cfg.TaggedMessages = true;
     BipartiteMatchingProgram P(Left);
-    EXPECT_EQ(pregel::checkDeclaredMessageLayout(P, B, Cfg), "");
+    EXPECT_EQ(pregel::checkDeclaredMessageLayout(P, B), "");
   }
 }
 

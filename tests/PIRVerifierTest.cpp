@@ -445,8 +445,9 @@ TEST(PIRLint, DeadSlotWarned) {
   EXPECT_TRUE(hasFinding(Ls, "dead-slot", "node property 'flag'"));
   EXPECT_FALSE(hasFinding(Ls, "dead-slot", "node property 'age'"));
   for (const CheckFinding &F : Ls)
-    if (F.Rule == "dead-slot")
+    if (F.Rule == "dead-slot") {
       EXPECT_FALSE(F.isError());
+    }
 }
 
 TEST(PIRLint, ParamSlotIsNeverDead) {

@@ -39,7 +39,7 @@ TEST(MessageLayout, EmptyPayloadIsHeaderOnly) {
   MessageLayout L;
   L.addType(0, {});
   EXPECT_EQ(L.recordSize(), 4u); // just the destination id
-  EXPECT_EQ(L.wireBytes(0, /*TaggedProgram=*/false), 4u);
+  EXPECT_EQ(L.wireBytes(0), 4u);
 }
 
 TEST(MessageLayout, MultiTypeAddsTagAndPadsToWidest) {
@@ -56,8 +56,8 @@ TEST(MessageLayout, MultiTypeAddsTagAndPadsToWidest) {
   EXPECT_EQ(L.type(2).Offset[1], 16u);
   // Wire accounting is per type, not per record: the narrow type does not
   // pay for the widest one's padding.
-  EXPECT_EQ(L.wireBytes(1, /*TaggedProgram=*/true), 4u + 4u + 8u);
-  EXPECT_EQ(L.wireBytes(2, /*TaggedProgram=*/true), 4u + 4u + 9u);
+  EXPECT_EQ(L.wireBytes(1), 4u + 4u + 8u);
+  EXPECT_EQ(L.wireBytes(2), 4u + 4u + 9u);
 }
 
 TEST(MessageLayout, PackRoundTripsThroughMsgRef) {

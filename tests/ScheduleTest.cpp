@@ -152,7 +152,6 @@ TEST(Schedule, ConductanceCrossStepRunsSparse) {
     manual::ConductanceProgram P(Member, 0);
     Config Cfg;
     Cfg.Schedule = M;
-    Cfg.ScheduleSparseDivisor = 1; // sparse below N, not N/8
     RunStats Stats = Engine(G, Cfg).run(P);
     Out = P.conductance();
     return Stats;
@@ -163,17 +162,6 @@ TEST(Schedule, ConductanceCrossStepRunsSparse) {
   expectSameCounters(DS, AS, "conductance");
   EXPECT_EQ(Dense, Auto);
   EXPECT_GT(AS.SparseSupersteps, 0u);
-}
-
-TEST(Schedule, DivisorZeroDisablesSparse) {
-  Graph G = generateUniformRandom(500, 1500, 35);
-  std::vector<int64_t> Len = randomLens(G.numEdges(), 36);
-  manual::SSSPVoteToHaltProgram P(0, Len);
-  Config Cfg;
-  Cfg.Schedule = ScheduleMode::Auto;
-  Cfg.ScheduleSparseDivisor = 0;
-  RunStats Stats = Engine(G, Cfg).run(P);
-  EXPECT_EQ(Stats.SparseSupersteps, 0u);
 }
 
 TEST(Schedule, ModeNamesRoundTrip) {
@@ -244,7 +232,7 @@ TEST_P(ScheduleSweep, PaperAlgorithmsBitIdenticalAcrossSchedules) {
   };
   const PartitionStrategy Strategies[] = {
       PartitionStrategy::Hash, PartitionStrategy::Range,
-      PartitionStrategy::EdgeBalanced, PartitionStrategy::DegreeAware};
+      PartitionStrategy::EdgeBalanced};
   const unsigned W = GetParam();
 
   for (const AlgoCase &C : Cases) {
@@ -286,9 +274,10 @@ TEST_P(ScheduleSweep, PaperAlgorithmsBitIdenticalAcrossSchedules) {
             exec::BackendRun Other = Run(M, S, Threaded, B);
             std::string What = Base + " schedule=" + scheduleModeName(M);
             expectSameCounters(Dense.Stats, Other.Stats, What);
-            if (M == ScheduleMode::Sparse)
+            if (M == ScheduleMode::Sparse) {
               EXPECT_EQ(Other.Stats.SparseSupersteps, Other.Stats.Supersteps)
                   << What;
+            }
             if (C.ResultProp) {
               for (NodeId N = 0; N < G.numNodes(); ++N) {
                 Value A = Dense.nodeValue(C.ResultProp, N);

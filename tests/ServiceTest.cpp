@@ -298,6 +298,18 @@ TEST(Service, SubmitRejectsBadKnobsAtAdmission) {
   EXPECT_FALSE(R2.boolAt("ok"));
 }
 
+TEST(Service, DegreeAwarePartitionIsRejectedAtAdmission) {
+  service::Service Svc;
+  loadGraph(Svc, "g");
+  json::Node R = parsed(
+      Svc.handle(pagerankSubmit("g", ",\"partition\":\"degree-aware\"")));
+  EXPECT_FALSE(R.boolAt("ok"));
+  EXPECT_NE(R.strAt("error").find("unknown partition strategy"),
+            std::string::npos)
+      << serialize(R);
+  EXPECT_EQ(Svc.scheduler().counters().Submitted, 0u);
+}
+
 TEST(Service, EdgePropertyProgramFailsAndTheServiceKeepsServing) {
   // Submits carry scalar arguments only, so sssp's "len" edge property can
   // never be supplied: the job fails naming the property, instead of the

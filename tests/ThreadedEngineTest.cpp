@@ -290,10 +290,11 @@ TEST_P(PaperAlgoThreaded, BitIdenticalToSequential) {
     }
   }
   ASSERT_EQ(Seq->returnValue().has_value(), Thr->returnValue().has_value());
-  if (Seq->returnValue())
+  if (Seq->returnValue()) {
     EXPECT_TRUE(*Seq->returnValue() == *Thr->returnValue())
         << Seq->returnValue()->toString() << " vs "
         << Thr->returnValue()->toString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

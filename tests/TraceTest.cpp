@@ -380,8 +380,9 @@ TEST_P(TraceAlgoIdentity, TraceOnMatchesTraceOff) {
     std::unique_ptr<exec::IRExecutor> Exec;
     Stats = exec::runProgram(*Compiled.Program, G,
                              makeArgs(C.Name, G, BipartiteLeft), Cfg, &Exec);
-    if (Traced)
+    if (Traced) {
       EXPECT_GT(TS->session().eventCount(), 0u) << C.Name;
+    }
     return Exec;
   };
 
@@ -405,10 +406,11 @@ TEST_P(TraceAlgoIdentity, TraceOnMatchesTraceOff) {
     }
   }
   ASSERT_EQ(Off->returnValue().has_value(), On->returnValue().has_value());
-  if (Off->returnValue())
+  if (Off->returnValue()) {
     EXPECT_TRUE(*Off->returnValue() == *On->returnValue())
         << Off->returnValue()->toString() << " vs "
         << On->returnValue()->toString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
